@@ -87,7 +87,7 @@ def _ellipse_rigid(chart: Chart, q: QForm3, tol: float = DEFAULT_TOL
     ones included), so the result does not depend on the chart's base.
     """
     zeros = []
-    for p in list(chart.points) + list(chart.occluded):
+    for p in chart.window_points:
         s = sign_of(q(lift(p.position)), tol)
         if s < 0:
             return None
@@ -119,7 +119,7 @@ def _strip_rigid(chart: Chart, q: QForm3, tol: float = DEFAULT_TOL
     direction = strip_direction(q, tol)
     normal = (-direction[1], direction[0])
     zeros = []
-    for p in list(chart.points) + list(chart.occluded):
+    for p in chart.window_points:
         s = sign_of(q(lift(p.position)), tol)
         if s < 0:
             return None
@@ -168,7 +168,7 @@ def rigid_conics(chart: Chart, tol: float = DEFAULT_TOL) -> list[RigidConic]:
     pts = [p.position for p in chart.points]
     # occluded positions block chords too: a candidate with one strictly
     # inside always fails the immersion certificate
-    blockers = pts + [p.position for p in chart.occluded]
+    blockers = [p.position for p in chart.window_points]
     n = len(pts)
     found: dict[tuple, RigidConic] = {}
 
@@ -783,8 +783,6 @@ def matching_from_affine(A: CellComplexWindow, B: CellComplexWindow,
             vertices[key] = ik
         elif strict and not U.truncated:
             raise ValueError(f"vertex {key} has no image vertex in B")
-    if not faces or not edges:
-        raise ValueError("affine map matches no cells between the windows")
     return CellMatching(faces, edges, vertices)
 
 

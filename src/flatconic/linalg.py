@@ -7,8 +7,9 @@ Exact paths run over fractions.Fraction; float paths delegate to numpy.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -40,18 +41,18 @@ def sign_of(x: Scalar, tol: float = DEFAULT_TOL) -> int:
     return 1 if x > 0 else -1
 
 
-def _clear_denominators(row: Sequence[Scalar]) -> list[int]:
+def common_denominator(values: Iterable[Scalar]) -> int:
+    """Least common denominator of the scalars (floats taken exactly)."""
     den = 1
-    for v in row:
-        f = Fraction(v)
-        den = den * f.denominator // _gcd(den, f.denominator)
+    for v in values:
+        d = Fraction(v).denominator
+        den = den * d // math.gcd(den, d)
+    return den
+
+
+def _clear_denominators(row: Sequence[Scalar]) -> list[int]:
+    den = common_denominator(row)
     return [int(Fraction(v) * den) for v in row]
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def nullspace(rows: Sequence[Sequence[Scalar]], width: int,

@@ -26,7 +26,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Scalar, is_exact, nullspace, sign_of
+from .linalg import (DEFAULT_TOL, Scalar, common_denominator, is_exact,
+                     nullspace, sign_of)
 from .quadform import (NaturalBasis, QForm3, canonical_scale, combine,
                        forms_vanishing_on, lift, pencil_coefficients,
                        signature, signature_restriction)
@@ -166,11 +167,8 @@ def strip_direction(q: QForm3, tol: float = DEFAULT_TOL) -> tuple[Scalar, Scalar
         raise ValueError("form is not a strip (direction kernel is not a line)")
     u, v = ker[0]
     if is_exact(u, v):
-        fu, fv = Fraction(u), Fraction(v)
-        den = 1
-        for f in (fu, fv):
-            den = den * f.denominator // math.gcd(den, f.denominator)
-        p, r = int(fu * den), int(fv * den)
+        den = common_denominator((u, v))
+        p, r = int(Fraction(u) * den), int(Fraction(v) * den)
         g = math.gcd(p, r)
         p, r = p // g, r // g
         if r < 0 or (r == 0 and p < 0):

@@ -6,8 +6,14 @@ plane, keeps the cone-point images within a radius window, and filters them
 down to the star-convex visibility region (a cone point blocks the open ray
 strictly beyond itself).
 
-All geometry is exact over rationals; file numbers are converted to
-Fraction on parse.
+Parsing is exact over Fraction: every file number becomes a Fraction, and
+polygons, gluings and the returned charts hold Fractions. The unfolding
+(`develop`, `locate`, and so `rebase`) runs in a per-call integer frame:
+coordinates are scaled by the least common denominator of the vertices and
+the base point (or the located position) and translated to that point, so
+the breadth-first placement search, the radius window, the visibility rays
+and point-in-polygon tests are exact Python int arithmetic. Results are
+converted back to Fraction only for the chart's positions and translations.
 """
 
 from __future__ import annotations
@@ -22,7 +28,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Scalar, cross, dot2, is_exact, sign_of, solve
+from .linalg import (DEFAULT_TOL, Scalar, common_denominator, cross, dot2,
+                     sign_of, solve)
 from .quadform import QForm3, lift
 from .subconic import Subconic, SubconicKind, classify
 
@@ -239,55 +246,72 @@ def surface_to_json(desc: SurfaceDesc) -> str:
 
 
 # ---------------------------------------------------------------------------
-# point-in-polygon and distances (exact)
+# point-in-polygon and the radius window (exact, division-free)
 
-def point_in_polygon(point: Point, verts: Sequence[Point]) -> int:
-    """+1 strictly inside, 0 on the boundary, -1 outside. Exact crossing count."""
-    n = len(verts)
-    for i in range(n):
-        a, b = verts[i], verts[(i + 1) % n]
-        if _on_segment(point, a, b):
-            return 0
+def _origin_side(verts: Sequence[Point]) -> int:
+    """+1 if the origin is strictly inside the polygon, 0 on its boundary, -1
+    outside. Exact crossing count, so non-convex polygons are fine."""
     inside = False
-    px, py = point
-    for i in range(n):
-        ax, ay = verts[i]
-        bx, by = verts[(i + 1) % n]
-        if (ay > py) != (by > py):
-            # x coordinate of the edge at height py, compared exactly
-            t = (px - ax) * (by - ay) - (bx - ax) * (py - ay)
-            if (by > ay and sign_of(t) < 0) or (by < ay and sign_of(t) > 0):
-                inside = not inside
+    ax, ay = verts[-1]
+    for bx, by in verts:
+        c = bx * ay - ax * by  # a x b, up to sign: zero iff origin on line ab
+        if c == 0 and (min(ax, bx) <= 0 <= max(ax, bx)
+                       and min(ay, by) <= 0 <= max(ay, by)):
+            return 0
+        if (ay > 0) != (by > 0) and ((c < 0) if by > ay else (c > 0)):
+            inside = not inside
+        ax, ay = bx, by
     return 1 if inside else -1
 
 
-def _on_segment(p: Point, a: Point, b: Point) -> bool:
-    if sign_of(cross(a, b, p)) != 0:
-        return False
-    return (min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
-            and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
+def point_in_polygon(point: Point, verts: Sequence[Point]) -> int:
+    """+1 strictly inside, 0 on the boundary, -1 outside. Exact crossing count."""
+    return _origin_side([_sub(v, point) for v in verts])
 
 
-def _segment_dist2(p: Point, a: Point, b: Point) -> Scalar:
-    ab = _sub(b, a)
-    ap = _sub(p, a)
-    denom = ab[0] * ab[0] + ab[1] * ab[1]
-    if denom == 0:
-        return dist2(p, a)
-    t = (ap[0] * ab[0] + ap[1] * ab[1])
-    if t <= 0:
-        return dist2(p, a)
-    if t >= denom:
-        return dist2(p, b)
-    proj = (a[0] + ab[0] * t / denom, a[1] + ab[1] * t / denom)
-    return dist2(p, proj)
+def _comes_within(verts: Sequence[Point], rn: Scalar, rd: Scalar) -> bool:
+    """Does the closed polygon come within distance sqrt(rn/rd) of the origin?
+
+    Vertices are given relative to the centre. An edge a->b (vector e) is
+    within reach when its nearest point is: a or b at the ends, else the
+    foot of the perpendicular, at squared distance (a x b)^2 / |e|^2.
+    """
+    ax, ay = verts[-1]
+    for bx, by in verts:
+        ex, ey = bx - ax, by - ay
+        t = -(ax * ex + ay * ey)  # (origin - a) . e
+        if t <= 0:
+            near = (ax * ax + ay * ay) * rd <= rn
+        elif t >= ex * ex + ey * ey:
+            near = (bx * bx + by * by) * rd <= rn
+        else:
+            c = ax * by - ay * bx
+            near = c * c * rd <= rn * (ex * ex + ey * ey)
+        if near:
+            return True
+        ax, ay = bx, by
+    return _origin_side(verts) > 0
 
 
-def _polygon_dist2(p: Point, verts: Sequence[Point]) -> Scalar:
-    if point_in_polygon(p, verts) >= 0:
-        return 0
-    return min(_segment_dist2(p, verts[i], verts[(i + 1) % len(verts)])
-               for i in range(len(verts)))
+def _frame(surface: SurfaceDesc, origin: Point, extra: Iterable[Scalar] = ()):
+    """The integer frame of the surface around `origin`.
+
+    Returns (L, ints): L is the least common denominator of the vertex
+    coordinates, the origin and `extra`; ints maps each polygon id to its
+    vertices as int pairs (v - origin) * L.
+    """
+    L = common_denominator([*origin, *extra, *(c for _, verts in surface.polygons
+                                                for v in verts for c in v)])
+    ox, oy = (_scaled_int(c, L) for c in origin)
+    return L, {pid: [(_scaled_int(x, L) - ox, _scaled_int(y, L) - oy)
+                     for x, y in verts]
+               for pid, verts in surface.polygons}
+
+
+def _scaled_int(x: Scalar, L: int) -> int:
+    """x * L for an x whose denominator divides L."""
+    f = Fraction(x)
+    return f.numerator * (L // f.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +344,11 @@ class Chart:
     def positions(self) -> list[Point]:
         return [p.position for p in self.points]
 
+    @property
+    def window_points(self) -> tuple[DevPoint, ...]:
+        """Every cone point in the window: the visible ones, then the occluded."""
+        return self.points + self.occluded
+
 
 def default_base(surface: SurfaceDesc) -> tuple:
     """(first polygon id, its area centroid) — deterministic and interior."""
@@ -345,69 +374,86 @@ def develop(surface: SurfaceDesc, base=None, radius: Scalar = 6) -> Chart:
     interiors are fine, vertices are cone points and not allowed); None picks
     the first polygon's centroid. Cone points within `radius` of the base are
     collected; a point is kept only if no other collected point lies strictly
-    between it and the base on the same ray.
+    between it and the base on the same ray. The base point and radius are
+    taken as exact Fractions (floats by their binary value).
+
+    The unfolding runs in the integer frame of the base (`_frame`): placements
+    are keyed on integer translations, the window test is exact on ints, and
+    a cone point is visible iff it is the nearest on its primitive integer ray
+    from the base.
     """
     if base is None:
         base = default_base(surface)
     pid0, local = base
+    local = (Fraction(local[0]), Fraction(local[1]))
+    radius = Fraction(radius)
     verts0 = surface.polygon(pid0)
-    if any(local[0] == v[0] and local[1] == v[1] for v in verts0):
+    if local in verts0:
         raise SurfaceError(f"base point {local} is a cone point")
     if point_in_polygon(local, verts0) < 0:
         raise SurfaceError(f"base point {local} is not inside polygon {pid0}")
-    if sign_of(radius, 0.0) <= 0:
+    if radius <= 0:
         raise SurfaceError("radius must be positive")
-    base_pos = (local[0], local[1])
-    r2 = radius * radius
 
-    start = Placement(pid0, (Fraction(0), Fraction(0)), ())
-    queue = deque([start])
-    seen = {(pid0, start.translation)}
+    L, ints = _frame(surface, local)
+    r2 = (radius * L) ** 2
+    rn, rd = r2.numerator, r2.denominator
+    # hops[p][e] = (q, dx, dy): crossing edge e of p places q shifted by (dx, dy)
+    hops: dict = {}
+    for pid, verts in ints.items():
+        hops[pid] = []
+        for e, (x, y) in enumerate(verts):
+            q, f = surface.gluings[(pid, e)]
+            qx, qy = ints[q][(f + 1) % len(ints[q])]
+            hops[pid].append((q, x - qx, y - qy))
+    cones = {pid: [surface.cone_class[(pid, i)] for i in range(len(verts))]
+             for pid, verts in ints.items()}
+
+    queue = deque([(pid0, 0, 0, ())])
+    seen = {(pid0, 0, 0)}
     placements = []
-    raw: dict[Point, DevPoint] = {}
+    raw: dict[tuple[int, int], tuple] = {}  # frame position -> (cone_id, path)
     while queue:
-        pl = queue.popleft()
-        verts = surface.polygon(pl.poly_id)
-        placed = [_add(v, pl.translation) for v in verts]
-        placements.append(pl)
-        for i, pos in enumerate(placed):
-            if dist2(pos, base_pos) <= r2 and pos not in raw:
-                raw[pos] = DevPoint(pos, surface.cone_class[(pl.poly_id, i)],
-                                    pl.path)
-        n = len(verts)
-        for e in range(n):
-            q, f = surface.gluings[(pl.poly_id, e)]
-            qverts = surface.polygon(q)
-            tau = _add(pl.translation,
-                       _sub(verts[e], qverts[(f + 1) % len(qverts)]))
-            key = (q, tau)
+        item = pid, tx, ty, path = queue.popleft()
+        placements.append(item)
+        for (x, y), cone in zip(ints[pid], cones[pid]):
+            x += tx
+            y += ty
+            if (x, y) not in raw and (x * x + y * y) * rd <= rn:
+                raw[(x, y)] = (cone, path)
+        for e, (q, dx, dy) in enumerate(hops[pid]):
+            key = (q, tx + dx, ty + dy)
             if key in seen:
                 continue
-            qplaced = [_add(v, tau) for v in qverts]
-            if _polygon_dist2(base_pos, qplaced) > r2:
+            _, ux, uy = key
+            if not _comes_within([(x + ux, y + uy) for x, y in ints[q]], rn, rd):
                 continue
             seen.add(key)
-            queue.append(Placement(q, tau, pl.path + ((pl.poly_id, e),)))
+            queue.append((q, ux, uy, path + ((pid, e),)))
 
-    candidates = sorted(raw.values(),
-                        key=lambda d: (dist2(d.position, base_pos),
-                                       d.position[0], d.position[1]))
-    visible: list[DevPoint] = []
-    occluded: list[DevPoint] = []
-    for cand in candidates:
-        blocked = False
-        for keep in visible:
-            if (sign_of(cross(base_pos, keep.position, cand.position)) == 0
-                    and sign_of(dot2(_sub(keep.position, base_pos),
-                                     _sub(cand.position, base_pos))) > 0
-                    and dist2(keep.position, base_pos) < dist2(cand.position, base_pos)):
-                blocked = True
-                break
-        (occluded if blocked else visible).append(cand)
-    visible.sort(key=lambda d: d.position)
-    occluded.sort(key=lambda d: d.position)
-    return Chart(surface, base_pos, base, radius, tuple(visible),
-                 tuple(occluded), tuple(placements))
+    # nearest first; a point is visible iff no nearer point shares its ray.
+    # A point at the base itself (another sheet's vertex) is on no ray: it
+    # gets the key (0, 0), is visible and blocks nothing.
+    rays = set()
+    visible: list = []
+    occluded: list = []
+    for x, y in sorted(raw, key=lambda p: (p[0] * p[0] + p[1] * p[1], p)):
+        g = math.gcd(x, y) or 1
+        ray = (x // g, y // g)
+        (occluded if ray in rays else visible).append((x, y))
+        rays.add(ray)
+
+    bx, by = (_scaled_int(c, L) for c in local)
+
+    def dev_points(frame_points):
+        return tuple(DevPoint((Fraction(x + bx, L), Fraction(y + by, L)),
+                              *raw[(x, y)])
+                     for x, y in sorted(frame_points))
+
+    return Chart(surface, local, (pid0, local), radius,
+                 dev_points(visible), dev_points(occluded),
+                 tuple(Placement(pid, (Fraction(tx, L), Fraction(ty, L)), path)
+                       for pid, tx, ty, path in placements))
 
 
 def locate(chart: Chart, position: Point):
@@ -415,11 +461,15 @@ def locate(chart: Chart, position: Point):
 
     Prefers a placement containing the position strictly; falls back to a
     boundary placement. Raises if the position is outside every placement.
+    Runs in the integer frame of the position (whose L also clears the
+    placement translations).
     """
+    L, ints = _frame(chart.surface, position,
+                     [c for pl in chart.placements for c in pl.translation])
     boundary = None
     for pl in chart.placements:
-        verts = [_add(v, pl.translation) for v in chart.surface.polygon(pl.poly_id)]
-        side = point_in_polygon(position, verts)
+        tx, ty = (_scaled_int(c, L) for c in pl.translation)
+        side = _origin_side([(x + tx, y + ty) for x, y in ints[pl.poly_id]])
         if side > 0:
             return (pl.poly_id, _sub(position, pl.translation))
         if side == 0 and boundary is None:
@@ -506,8 +556,9 @@ def inradius_bound(surface: SurfaceDesc) -> float:
                                        surface.cone_class, surface.cone_angles))[1]
         window = _sqrt_upper(bound2) + _sqrt_upper(diam2)
         chart = develop(surface, (pid, cen), window)
-        sites = [p.position for p in chart.points] + [p.position for p in chart.occluded]
-        sites = [s for s in sites if _polygon_dist2(s, verts) <= bound2]
+        sites = [p.position for p in chart.window_points
+                 if _comes_within([_sub(v, p.position) for v in verts],
+                                  bound2.numerator, bound2.denominator)]
         best = max(best, _maximin_dist2(verts, sites))
     return math.sqrt(float(best))
 

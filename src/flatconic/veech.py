@@ -232,8 +232,7 @@ def veech_check(surface: SurfaceDesc, g, radius=6, tol: float = DEFAULT_TOL,
         raise ValueError(f"matrix must have determinant 1, got {det}")
     if chart is None:
         chart = develop(surface, None, radius)
-    positions = {p.position for p in chart.points}
-    positions |= {p.position for p in chart.occluded}
+    positions = {p.position for p in chart.window_points}
     base = chart.base
     safe = float(radius) / _op_norm(g)
     safe2 = Fraction(safe) ** 2

@@ -2,9 +2,13 @@
 
 Everything here goes through numpy least-squares / SVD on the raw monomial
 matrix rather than the package's pencil arithmetic, so agreement between the
-two routes is meaningful evidence.
+two routes is meaningful evidence. The reference unfolding at the end is the
+plain Fraction implementation that the integer-frame `develop` must match
+exactly.
 """
 
+from collections import deque
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -89,11 +93,199 @@ def exhaustive_rigid_ellipses(points, blockers=None, tol=1e-7):
 
 def region_is_bounded(coeffs, span=1000.0, samples=64):
     """Sample test: is {q < 0} bounded? Checks a large circle of directions
-    at `span` for negative values."""
+    at `span` for negative values, then the null and negative eigen-directions
+    of the quadratic part (numpy `eigh`), which a thin strip or parabola may
+    hide between the sampled directions. Along a null direction the probe
+    also starts from the minimum of q across it, so strips away from the
+    origin are found."""
     a, b, c, d, e, f = (float(t) for t in coeffs)
+
+    def q(x, y):
+        return a * x * x + b * x * y + c * y * y + d * x + e * y + f
+
     for k in range(samples):
         t = 2.0 * np.pi * k / samples
-        x, y = span * np.cos(t), span * np.sin(t)
-        if a * x * x + b * x * y + c * y * y + d * x + e * y + f < 0:
+        if q(span * np.cos(t), span * np.sin(t)) < 0:
             return False
+    w, v = np.linalg.eigh(np.array([[a, b / 2.0], [b / 2.0, c]]))
+    small = 1e-9 * max(1.0, float(np.max(np.abs(w))))
+    for i in range(2):
+        if w[i] > small:
+            continue
+        u, n, wn = v[:, i], v[:, 1 - i], w[1 - i]
+        starts = [np.zeros(2)]
+        if wn > small:
+            starts.append(-(d * n[0] + e * n[1]) / (2.0 * wn) * n)
+        for s0 in starts:
+            for sgn in (1.0, -1.0):
+                x, y = s0 + sgn * span * u
+                if q(x, y) < 0:
+                    return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# reference unfolding: the straightforward Fraction implementation of
+# `surface.develop`, `locate` and `rebase`, kept to check the integer-frame
+# kernel against. Same BFS, same window test, O(n^2) visibility filter.
+
+def _ref_sub(a, b):
+    return (a[0] - b[0], a[1] - b[1])
+
+
+def _ref_add(a, b):
+    return (a[0] + b[0], a[1] + b[1])
+
+
+def _ref_dist2(a, b):
+    dx, dy = a[0] - b[0], a[1] - b[1]
+    return dx * dx + dy * dy
+
+
+def _ref_cross(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _ref_on_segment(p, a, b):
+    if _ref_cross(a, b, p) != 0:
+        return False
+    return (min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
+            and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
+
+
+def reference_point_in_polygon(point, verts) -> int:
+    """+1 strictly inside, 0 on the boundary, -1 outside (crossing count)."""
+    n = len(verts)
+    for i in range(n):
+        if _ref_on_segment(point, verts[i], verts[(i + 1) % n]):
+            return 0
+    inside = False
+    px, py = point
+    for i in range(n):
+        ax, ay = verts[i]
+        bx, by = verts[(i + 1) % n]
+        if (ay > py) != (by > py):
+            t = (px - ax) * (by - ay) - (bx - ax) * (py - ay)
+            if (by > ay and t < 0) or (by < ay and t > 0):
+                inside = not inside
+    return 1 if inside else -1
+
+
+def _ref_segment_dist2(p, a, b):
+    ab = _ref_sub(b, a)
+    ap = _ref_sub(p, a)
+    denom = ab[0] * ab[0] + ab[1] * ab[1]
+    t = ap[0] * ab[0] + ap[1] * ab[1]
+    if t <= 0:
+        return _ref_dist2(p, a)
+    if t >= denom:
+        return _ref_dist2(p, b)
+    proj = (a[0] + ab[0] * t / denom, a[1] + ab[1] * t / denom)
+    return _ref_dist2(p, proj)
+
+
+def _ref_polygon_dist2(p, verts):
+    if reference_point_in_polygon(p, verts) >= 0:
+        return 0
+    return min(_ref_segment_dist2(p, verts[i], verts[(i + 1) % len(verts)])
+               for i in range(len(verts)))
+
+
+def reference_develop(surface, base=None, radius=6):
+    from flatconic.surface import (Chart, DevPoint, Placement, SurfaceError,
+                                   default_base)
+    if base is None:
+        base = default_base(surface)
+    pid0, local = base
+    verts0 = surface.polygon(pid0)
+    if any(local[0] == v[0] and local[1] == v[1] for v in verts0):
+        raise SurfaceError(f"base point {local} is a cone point")
+    if reference_point_in_polygon(local, verts0) < 0:
+        raise SurfaceError(f"base point {local} is not inside polygon {pid0}")
+    if radius <= 0:
+        raise SurfaceError("radius must be positive")
+    base_pos = (local[0], local[1])
+    r2 = radius * radius
+
+    start = Placement(pid0, (Fraction(0), Fraction(0)), ())
+    queue = deque([start])
+    seen = {(pid0, start.translation)}
+    placements = []
+    raw = {}
+    while queue:
+        pl = queue.popleft()
+        verts = surface.polygon(pl.poly_id)
+        placed = [_ref_add(v, pl.translation) for v in verts]
+        placements.append(pl)
+        for i, pos in enumerate(placed):
+            if _ref_dist2(pos, base_pos) <= r2 and pos not in raw:
+                raw[pos] = DevPoint(pos, surface.cone_class[(pl.poly_id, i)],
+                                    pl.path)
+        for e in range(len(verts)):
+            q, f = surface.gluings[(pl.poly_id, e)]
+            qverts = surface.polygon(q)
+            tau = _ref_add(pl.translation,
+                           _ref_sub(verts[e], qverts[(f + 1) % len(qverts)]))
+            key = (q, tau)
+            if key in seen:
+                continue
+            qplaced = [_ref_add(v, tau) for v in qverts]
+            if _ref_polygon_dist2(base_pos, qplaced) > r2:
+                continue
+            seen.add(key)
+            queue.append(Placement(q, tau, pl.path + ((pl.poly_id, e),)))
+
+    candidates = sorted(raw.values(),
+                        key=lambda d: (_ref_dist2(d.position, base_pos),
+                                       d.position[0], d.position[1]))
+    visible, occluded = [], []
+    for cand in candidates:
+        blocked = False
+        for keep in visible:
+            u = _ref_sub(keep.position, base_pos)
+            w = _ref_sub(cand.position, base_pos)
+            if (_ref_cross(base_pos, keep.position, cand.position) == 0
+                    and u[0] * w[0] + u[1] * w[1] > 0
+                    and _ref_dist2(keep.position, base_pos)
+                    < _ref_dist2(cand.position, base_pos)):
+                blocked = True
+                break
+        (occluded if blocked else visible).append(cand)
+    visible.sort(key=lambda d: d.position)
+    occluded.sort(key=lambda d: d.position)
+    return Chart(surface, base_pos, base, radius, tuple(visible),
+                 tuple(occluded), tuple(placements))
+
+
+def reference_locate(chart, position):
+    from flatconic.surface import SurfaceError
+    boundary = None
+    for pl in chart.placements:
+        verts = [_ref_add(v, pl.translation)
+                 for v in chart.surface.polygon(pl.poly_id)]
+        side = reference_point_in_polygon(position, verts)
+        if side > 0:
+            return (pl.poly_id, _ref_sub(position, pl.translation))
+        if side == 0 and boundary is None:
+            boundary = (pl.poly_id, _ref_sub(position, pl.translation))
+    if boundary is not None:
+        return boundary
+    raise SurfaceError(f"position {position} is outside the developed window")
+
+
+def reference_rebase(chart, position, radius=None):
+    from flatconic.surface import Chart, DevPoint, Placement
+    pid, local = reference_locate(chart, position)
+    fresh = reference_develop(chart.surface, (pid, local),
+                              chart.radius if radius is None else radius)
+    shift = _ref_sub(position, local)
+    if shift == (0, 0):
+        return fresh
+    pts = tuple(DevPoint(_ref_add(p.position, shift), p.cone_id, p.path)
+                for p in fresh.points)
+    occ = tuple(DevPoint(_ref_add(p.position, shift), p.cone_id, p.path)
+                for p in fresh.occluded)
+    pls = tuple(Placement(p.poly_id, _ref_add(p.translation, shift), p.path)
+                for p in fresh.placements)
+    return Chart(fresh.surface, _ref_add(fresh.base, shift),
+                 fresh.base_locator, fresh.radius, pts, occ, pls)

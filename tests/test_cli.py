@@ -1,7 +1,9 @@
 """End-to-end checks of the command line interface."""
 
+import hashlib
 import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -140,3 +142,35 @@ def test_bad_tolerance_env(torus_file, monkeypatch, capsys):
 def test_tolerance_env_is_honored(torus_file, monkeypatch, capsys):
     monkeypatch.setenv("FLATCONIC_TOL", "1e-9")
     assert main(["develop", torus_file, "--radius", "1"]) == 0
+
+
+STOCK = Path(__file__).resolve().parent.parent / "surfaces"
+
+# sha256 of stdout on the stock surfaces, recorded with the Fraction
+# unfolding; a faster kernel must reproduce these bytes exactly
+PINNED = {
+    "develop-torus-R3": (
+        ["develop", "torus", "--radius", "3"],
+        "eb354d51c3ad6bf34196e7cb2627176ba109217115e3f0d5b8636e1bf7058900"),
+    "complex-torus-R4-b6": (
+        ["complex", "torus", "--radius", "4", "--budget", "6"],
+        "5de61d89ea9c286074767247fc07fd7af259fb824ae9d69058d57f56c73d413f"),
+    "complex-l-R3-b5-base": (
+        ["complex", "l_shape", "--radius", "3", "--budget", "5",
+         "--base", "p0:3/2,1/3"],
+        "640254474fb851a15715e3160cdd4bb9a97f8e16a3eba9fcc9af4f4e7b87614c"),
+    "tessellate-torus-json": (
+        ["tessellate", "torus", "--radius", "4", "--budget", "6"],
+        "b3fa6484a5eb1a87524c05b2d6d60a00c8b15324f61b3f1e5cc2c3919b0caf1a"),
+    "veech-check-l-S-R3": (
+        ["veech-check", "l_shape", "--matrix", "0,-1,1,0", "--radius", "3"],
+        "b221d22d5ae1c1e97de261bce8309801ca422aa72347b1923e199baba1d12e17"),
+}
+
+
+@pytest.mark.parametrize("run", sorted(PINNED))
+def test_output_bytes_are_pinned(run, capsys):
+    argv, digest = PINNED[run]
+    argv = [argv[0], str(STOCK / f"{argv[1]}.tsurf")] + argv[2:]
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

@@ -3,7 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -70,6 +70,7 @@ def test_kind_is_invariant_under_positive_scaling(coeffs, c):
 
 @settings(max_examples=60, deadline=None)
 @given(st.tuples(coef, coef, coef, coef, coef, coef))
+@example((F(1, 2), F(2), F(2), F(0), F(0), F(-1)))  # strip 1/2 (x + 2y)^2 < 1
 def test_bounded_regions_are_exactly_the_ellipse_interiors(coeffs):
     q = from_poly(*coeffs)
     kind = classify(q).kind

@@ -1,11 +1,16 @@
 """Surface descriptions, validation, and developing-map windows."""
 
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from flatconic.models import l_shape, square_torus, two_marked_torus
 from flatconic.surface import (
+    Chart,
     SurfaceError,
     default_base,
     develop,
@@ -148,3 +153,64 @@ def test_inradius_bound_is_positive_and_fits_inside():
     for s in (square_torus(), l_shape()):
         r = inradius_bound(s)
         assert 0 < r <= 1
+
+
+# ---------------------------------------------------------------------------
+# the integer-frame kernel against the Fraction reference in oracles.py
+
+STOCK = Path(__file__).resolve().parent.parent / "surfaces"
+UNFOLDED = {path.stem: parse_surface(path.read_text())
+            for path in sorted(STOCK.glob("*.tsurf"))}
+# the L with unequal squares: same gluings as models.l_shape
+UNFOLDED["stretched_l"] = validate_surface(
+    [("p0", ((F(0), F(0)), (F(1), F(0)), (F(5, 2), F(0)), (F(5, 2), F(1)),
+             (F(1), F(1)), (F(1), F(3, 2)), (F(0), F(3, 2)), (F(0), F(1))))],
+    l_shape().gluings)
+UNFOLDED["marked_third_fifth"] = two_marked_torus(marked=(F(1, 3), F(1, 5)))
+
+
+@st.composite
+def unfolding_cases(draw):
+    """(surface name, base, radius, probe offsets from the base)."""
+    name = draw(st.sampled_from(sorted(UNFOLDED)))
+    pid, verts = draw(st.sampled_from(UNFOLDED[name].polygons))
+    xs, ys = [v[0] for v in verts], [v[1] for v in verts]
+    x = draw(st.fractions(min(xs), max(xs), max_denominator=7))
+    y = draw(st.fractions(min(ys), max(ys), max_denominator=7))
+    assume((x, y) not in verts
+           and oracles.reference_point_in_polygon((x, y), verts) >= 0)
+    radius = draw(st.sampled_from([F(2), F(7, 2), F(4)]))
+    offset = st.fractions(-radius, radius, max_denominator=7)
+    probes = draw(st.lists(st.tuples(offset, offset), min_size=1, max_size=3))
+    return name, (pid, (x, y)), radius, probes
+
+
+def _outcome(fn, *args):
+    try:
+        return ("ok", fn(*args))
+    except SurfaceError as e:
+        return ("error", str(e))
+
+
+@settings(max_examples=40, deadline=None)
+@given(unfolding_cases())
+@example(("stretched_l", ("p0", (2, 0)), F(4), [(F(1, 2), F(1, 3))]))
+@example(("torus", ("p0", (0.375, 0.625)), 3.5, [(F(-1, 3), F(2, 7))]))
+def test_integer_frame_unfolding_matches_the_fraction_reference(case):
+    name, base, radius, probes = case
+    surface = UNFOLDED[name]
+    chart = develop(surface, base, radius)
+    ref = oracles.reference_develop(surface, base, radius)
+    assert chart.points == ref.points
+    assert chart.occluded == ref.occluded
+    assert chart.placements == ref.placements
+    assert chart == ref
+    assert isinstance(chart.radius, F) and all(isinstance(c, F) for c in chart.base)
+    # the probes, plus a cone point (boundary of several placements)
+    positions = [(chart.base[0] + dx, chart.base[1] + dy) for dx, dy in probes]
+    positions += [p.position for p in chart.points[:1]]
+    for pos in positions:
+        assert _outcome(locate, chart, pos) == \
+            _outcome(oracles.reference_locate, ref, pos)
+        assert _outcome(rebase, chart, pos, F(2)) == \
+            _outcome(oracles.reference_rebase, ref, pos, F(2))
