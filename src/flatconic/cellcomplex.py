@@ -6,6 +6,17 @@ realizable triples. For a triple Z the 2-cell is computed exactly in the
 T-plane of its natural pencil basis: every other cone point z contributes the
 linear constraint q_t(z) >= 0, and the feasible polygon is cut out of the
 unit simplex by Sutherland-Hodgman clipping over rationals.
+
+`rigid_conics` works in the integer frame of the window (positions times
+the least common denominator L of their coordinates). Its chord graph keys
+each pair by the signed primitive int ray from one point to the other, so a
+chord is an edge iff its far end is the nearest window point on that ray. A
+5-clique of the chord graph is solved for its conic only when its points are
+in strictly convex position and their pentagon holds no window point; both
+tests are exact, since the boundary points of an ellipse are in strictly
+convex position and a point strictly inside their hull is strictly inside the
+ellipse. Strips come from consecutive int levels along the normal of each
+swept direction.
 """
 
 from __future__ import annotations
@@ -14,9 +25,10 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Optional
 
-from .linalg import DEFAULT_TOL, Scalar, convex_hull_ccw, cross, dot2, sign_of
+from .linalg import (DEFAULT_TOL, Scalar, common_denominator, convex_hull_ccw,
+                     cross, dot2, fraction_str, primitive, scaled_int, sign_of)
 from .quadform import (CollinearTripleError, NaturalBasis, QForm3,
                        canonical_scale, combine, lift, natural_basis,
                        transform_by_affine)
@@ -143,48 +155,61 @@ def _strip_rigid(chart: Chart, q: QForm3, tol: float = DEFAULT_TOL
                       (lines[0], lines[1]), truncated=True)
 
 
-def _segment_blocked(points: Sequence[Position], a: Position, b: Position) -> bool:
-    """Is some cone point strictly between a and b on the segment?"""
-    for w in points:
-        if w == a or w == b:
-            continue
-        if sign_of(cross(a, b, w)) != 0:
-            continue
-        if (sign_of(dot2((w[0] - a[0], w[1] - a[1]),
-                         (b[0] - a[0], b[1] - a[1]))) > 0
-                and dist2(a, w) < dist2(a, b)):
-            return True
-    return False
-
-
 def rigid_conics(chart: Chart, tol: float = DEFAULT_TOL) -> list[RigidConic]:
     """All windowed rigid conics: empty-interior ellipses through >= 5 cone
     points (that fit the chart) and maximal strips with 2+2 boundary points.
 
-    The ellipse search prunes 5-subsets by pairwise chord visibility: a cone
-    point strictly inside a chord would be strictly inside the ellipse, so
-    only pairwise-unblocked 5-cliques can bound an empty ellipse.
+    Runs in the integer frame of the window: every position is an int pair
+    scaled by L, the least common denominator of the window positions.
+
+    Ellipses come from a clique search over the chord graph of the visible
+    points. An occluded point can block a chord too, and a cone point strictly
+    inside a chord would be strictly inside the ellipse. For each visible a
+    the nearest window point on each signed primitive int ray from a is kept;
+    (a, b) is an edge iff b is that nearest point, i.e. iff no window point
+    lies strictly inside the segment ab. A 5-clique reaches the five-point
+    solve only if its points are in strictly convex position and no window
+    point lies strictly inside their pentagon. Both tests are exact: the
+    boundary points of an ellipse are in strictly convex position, and a point
+    strictly inside their hull is strictly inside the ellipse, which
+    `_ellipse_rigid` rejects.
+
+    Strips are swept per canonical primitive direction d of the pair
+    differences: window points are bucketed by their int level along the
+    normal, and each pair of consecutive levels holding >= 2 points each is
+    a maximal strip. No point lies strictly between consecutive levels and
+    the zero set is exactly the two buckets, so the strip is built from them
+    directly. Only forms and boundaries are converted back to Fractions.
     """
-    pts = [p.position for p in chart.points]
-    # occluded positions block chords too: a candidate with one strictly
-    # inside always fails the immersion certificate
-    blockers = [p.position for p in chart.window_points]
-    n = len(pts)
+    window = [p.position for p in chart.window_points]
+    L = common_denominator(c for p in window for c in p)
+    ints = [(scaled_int(x, L), scaled_int(y, L)) for x, y in window]
+    n = len(chart.points)        # the visible points lead window_points
     found: dict[tuple, RigidConic] = {}
 
-    # --- ellipses: clique search over the chord-visibility graph
+    # --- ellipses: clique search over the chord graph
     adj = [0] * n
     for i in range(n):
-        for j in range(i + 1, n):
-            if not _segment_blocked(blockers, pts[i], pts[j]):
+        ax, ay = ints[i]
+        nearest: dict = {}       # ray -> (L1 distance, index)
+        for j, (bx, by) in enumerate(ints):
+            if j != i:
+                dx, dy = bx - ax, by - ay
+                ray = primitive(dx, dy)
+                far = abs(dx) + abs(dy)
+                if ray not in nearest or far < nearest[ray][0]:
+                    nearest[ray] = (far, j)
+        for _, j in nearest.values():
+            if j < n:
                 adj[i] |= 1 << j
-                adj[j] |= 1 << i
 
     def grow(clique: list[int], allowed: int, start: int):
         if len(clique) == 5:
-            five = [pts[i] for i in clique]
+            hull = convex_hull_ccw([ints[i] for i in clique])
+            if len(hull) < 5 or not _empty_pentagon(hull, ints):
+                return
             try:
-                cand = conic_through_five(five, tol)
+                cand = conic_through_five([window[i] for i in clique], tol)
             except ValueError:
                 return
             if cand.kind is not SubconicKind.ELLIPSE_INTERIOR:
@@ -201,46 +226,49 @@ def rigid_conics(chart: Chart, tol: float = DEFAULT_TOL) -> list[RigidConic]:
             m >>= 1
             i += 1
 
-    full = (1 << n) - 1
-    grow([], full, 0)
+    grow([], (1 << n) - 1, 0)
 
-    # --- strips: sweep every primitive direction spanned by point pairs
-    # (occluded points count: a strip boundary line sees every developed
-    # point of the window)
+    # --- strips: sweep every canonical primitive direction spanned by point
+    # pairs (occluded points count: a strip boundary line sees every
+    # developed point of the window)
     directions = set()
-    for i in range(len(blockers)):
-        for j in range(i + 1, len(blockers)):
-            d = (blockers[j][0] - blockers[i][0], blockers[j][1] - blockers[i][1])
-            directions.add(_primitive(d))
+    for i, (ax, ay) in enumerate(ints):
+        for bx, by in ints[i + 1:]:
+            dx, dy = primitive(bx - ax, by - ay)
+            if dy < 0 or (dy == 0 and dx < 0):
+                dx, dy = -dx, -dy
+            directions.add((dx, dy))
     for d in sorted(directions):
         normal = (-d[1], d[0])
         levels: dict = {}
-        for p in blockers:
-            levels.setdefault(dot2(normal, p), []).append(p)
+        for k, z in enumerate(ints):
+            levels.setdefault(dot2(normal, z), []).append(k)
         order = sorted(levels)
         for lo, hi in zip(order, order[1:]):
             if len(levels[lo]) < 2 or len(levels[hi]) < 2:
                 continue
-            # form ((l - lo)(l - hi) with l the normal functional) is negative
-            # exactly between the two lines
-            q = _strip_form(normal, lo, hi)
-            rigid = _strip_rigid(chart, q, tol)
-            if rigid is not None:
-                found.setdefault(rigid.key(), rigid)
+            # successor advances so that (advance, inward normal) is
+            # positively oriented: +d on the low line, -d on the high line
+            low, high = (sorted(levels[lev], key=lambda k: dot2(d, ints[k]))
+                         for lev in (lo, hi))
+            # ((l - lo)(l - hi) with l the normal functional) is negative
+            # exactly between the two lines: always a strip
+            q = _strip_form(normal, Fraction(lo, L), Fraction(hi, L))
+            rigid = RigidConic(
+                Subconic(canonical_scale(q, tol), SubconicKind.STRIP),
+                (tuple(window[k] for k in low),
+                 tuple(window[k] for k in reversed(high))),
+                truncated=True)
+            found.setdefault(rigid.key(), rigid)
     return [found[k] for k in sorted(found)]
 
 
-def _primitive(d: Position) -> tuple:
-    import math
-    fx, fy = Fraction(d[0]), Fraction(d[1])
-    den = fx.denominator * fy.denominator // math.gcd(fx.denominator, fy.denominator)
-    p, q = int(fx * den), int(fy * den)
-    g = math.gcd(p, q)
-    if g:
-        p, q = p // g, q // g
-    if q < 0 or (q == 0 and p < 0):
-        p, q = -p, -q
-    return (p, q)
+def _empty_pentagon(hull: list, points: list) -> bool:
+    """No point strictly inside the counterclockwise int polygon `hull`."""
+    edges = [(a[1] - b[1], b[0] - a[0], a[0] * b[1] - a[1] * b[0])
+             for a, b in zip(hull, hull[1:] + hull[:1])]
+    return not any(all(u * x + v * y + w > 0 for u, v, w in edges)
+                   for x, y in points)
 
 
 def _strip_form(normal: Position, lo: Scalar, hi: Scalar) -> QForm3:
@@ -1018,13 +1046,8 @@ def _extend_by_conjugation(U: RigidConic, U2: RigidConic, local: dict) -> None:
 # ---------------------------------------------------------------------------
 # serialization
 
-def _frac_str(x) -> str:
-    f = Fraction(x)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
 def _pos_json(p) -> list:
-    return [_frac_str(p[0]), _frac_str(p[1])]
+    return [fraction_str(p[0]), fraction_str(p[1])]
 
 
 def complex_to_json(window: CellComplexWindow) -> str:
@@ -1037,7 +1060,7 @@ def complex_to_json(window: CellComplexWindow) -> str:
         entry = {
             "id": f"v{i}",
             "kind": U.kind.value,
-            "form": [_frac_str(c) for c in U.subconic.form.coeffs()],
+            "form": [fraction_str(c) for c in U.subconic.form.coeffs()],
             "truncated": U.truncated,
         }
         if U.kind is SubconicKind.ELLIPSE_INTERIOR:
@@ -1064,7 +1087,7 @@ def complex_to_json(window: CellComplexWindow) -> str:
         faces.append({
             "id": _face_id(key),
             "triple": [_pos_json(p) for p in cell.triple],
-            "polygon_t": [[_frac_str(t) for t in v] for v in cell.polygon],
+            "polygon_t": [[fraction_str(t) for t in v] for v in cell.polygon],
             "edges": [None if q is None else [_pos_json(p) for p in q]
                       for q in cell.edge_quadruples],
             "complete": cell.complete,
@@ -1073,7 +1096,7 @@ def complex_to_json(window: CellComplexWindow) -> str:
     doc = {
         "window": {
             "base": _pos_json(window.chart.base),
-            "radius": _frac_str(window.chart.radius),
+            "radius": fraction_str(window.chart.radius),
             "seed": [_pos_json(p) for p in window.seed],
             "budget": window.budget,
             "exhausted": window.exhausted,
@@ -1086,4 +1109,4 @@ def complex_to_json(window: CellComplexWindow) -> str:
 
 
 def _face_id(key) -> str:
-    return ";".join(f"{_frac_str(x)},{_frac_str(y)}" for x, y in key)
+    return ";".join(f"{fraction_str(x)},{fraction_str(y)}" for x, y in key)

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .cellcomplex import (NotRealizable, WindowTooSmall, build_complex,
                           complex_to_json, default_seed)
-from .linalg import DEFAULT_TOL
+from .linalg import DEFAULT_TOL, fraction_str
 from .render import render_svg
 from .surface import SurfaceError, develop, parse_surface
 from .veech import discover_affine, tessellate, veech_check
@@ -29,15 +29,8 @@ def _frac(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
 
 
-def _fmt(x) -> str:
-    f = Fraction(x)
-    return str(f.numerator) if f.denominator == 1 else \
-        f"{f.numerator}/{f.denominator}"
-
-
 def _fmt_matrix(g) -> str:
-    return "[[{},{}],[{},{}]]".format(_fmt(g[0][0]), _fmt(g[0][1]),
-                                      _fmt(g[1][0]), _fmt(g[1][1]))
+    return "[[{},{}],[{},{}]]".format(*(fraction_str(x) for row in g for x in row))
 
 
 def _parse_base(text: str):
@@ -93,8 +86,8 @@ def cmd_develop(args, tol: float) -> int:
     lines = []
     for dp in chart.points:
         word = ">".join(f"{pid}.{e}" for pid, e in dp.path) or "-"
-        lines.append(f"{dp.cone_id}\t{_fmt(dp.position[0])},"
-                     f"{_fmt(dp.position[1])}\t{word}")
+        lines.append(f"{dp.cone_id}\t{fraction_str(dp.position[0])},"
+                     f"{fraction_str(dp.position[1])}\t{word}")
     _emit(args, "".join(line + "\n" for line in lines))
     return 0
 
@@ -130,9 +123,9 @@ def cmd_rebuild(args, tol: float) -> int:
                       budget=args.target_budget or args.budget, tol=tol)
     rec, phi = discover_affine(A, B, tol)
     print(_fmt_matrix(rec.linear))
-    print(f"homothety: {_fmt(rec.homothety)}")
-    print(f"translation: ({_fmt(rec.translation[0])},"
-          f"{_fmt(rec.translation[1])})")
+    print(f"homothety: {fraction_str(rec.homothety)}")
+    print(f"translation: ({fraction_str(rec.translation[0])},"
+          f"{fraction_str(rec.translation[1])})")
     print(f"matched: {len(phi.faces)} faces, {len(phi.edges)} edges, "
           f"{len(phi.vertices)} vertices")
     return 0

@@ -50,6 +50,25 @@ def common_denominator(values: Iterable[Scalar]) -> int:
     return den
 
 
+def scaled_int(x: Scalar, L: int) -> int:
+    """x * L for an x whose denominator divides L."""
+    f = Fraction(x)
+    return f.numerator * (L // f.denominator)
+
+
+def primitive(x: int, y: int) -> tuple[int, int]:
+    """The int vector divided by its gcd: the signed primitive vector of its
+    ray. (0, 0) stays (0, 0)."""
+    g = math.gcd(x, y) or 1
+    return (x // g, y // g)
+
+
+def fraction_str(x: Scalar) -> str:
+    """An exact rational as "n" or "n/d"."""
+    f = Fraction(x)
+    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+
+
 def _clear_denominators(row: Sequence[Scalar]) -> list[int]:
     den = common_denominator(row)
     return [int(Fraction(v) * den) for v in row]

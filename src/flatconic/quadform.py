@@ -106,16 +106,6 @@ def signature_restriction(q: QForm3, tol: float = DEFAULT_TOL) -> tuple[int, int
     return symmetric_signature(q.gram_restriction(), tol)
 
 
-def eigen_margin(q: QForm3) -> float:
-    """min |eigenvalue| / max(1, |eigenvalues|) of the Gram matrix (float).
-
-    Used to flag near-degenerate float classifications.
-    """
-    eig = np.linalg.eigvalsh(np.array([[float(v) for v in row] for row in q.gram()]))
-    scale = max(1.0, float(np.max(np.abs(eig))))
-    return float(np.min(np.abs(eig))) / scale
-
-
 def radical(q: QForm3, tol: float = DEFAULT_TOL) -> list[Vec3]:
     """Basis of rad(q) = {v : q(v, w) = 0 for all w}; dimension equals n0."""
     if q.is_zero(tol):
@@ -128,14 +118,6 @@ def _evaluation_row(v: Vec3) -> tuple[Scalar, ...]:
     return (x * x, y * y, z * z, 2 * x * y, 2 * x * z, 2 * y * z)
 
 
-def _tangency_row(v: Vec3, w: Vec3) -> tuple[Scalar, ...]:
-    # dq_v(w) = 2 q(v, w); the factor 2 is irrelevant for the kernel
-    return (v[0] * w[0], v[1] * w[1], v[2] * w[2],
-            v[0] * w[1] + v[1] * w[0],
-            v[0] * w[2] + v[2] * w[0],
-            v[1] * w[2] + v[2] * w[1])
-
-
 def forms_vanishing_on(points: Sequence[Vec3], tol: float = DEFAULT_TOL) -> list[QForm3]:
     """Basis of the space of forms vanishing on the given lifted points.
 
@@ -146,19 +128,6 @@ def forms_vanishing_on(points: Sequence[Vec3], tol: float = DEFAULT_TOL) -> list
     if len(points) > 5:
         raise ValueError("at most 5 point constraints are supported")
     rows = [_evaluation_row(v) for v in points]
-    return [from_coeff_vector(v) for v in nullspace(rows, 6, tol)]
-
-
-def forms_with_tangency(points: Sequence[Vec3],
-                        tangents: Sequence[tuple[Vec3, Vec3]],
-                        tol: float = DEFAULT_TOL) -> list[QForm3]:
-    """Forms vanishing on `points` with dq_v(w) = 0 for each (v, w) tangency.
-
-    With 3 or 4 general-position points and 5-n valid tangency constraints
-    the result is 1-dimensional; other dimensions are returned as found.
-    """
-    rows = [_evaluation_row(v) for v in points]
-    rows += [_tangency_row(v, w) for v, w in tangents]
     return [from_coeff_vector(v) for v in nullspace(rows, 6, tol)]
 
 

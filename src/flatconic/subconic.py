@@ -27,9 +27,8 @@ from typing import Sequence
 import numpy as np
 
 from .linalg import (DEFAULT_TOL, Scalar, common_denominator, is_exact,
-                     nullspace, sign_of)
-from .quadform import (NaturalBasis, QForm3, canonical_scale, combine,
-                       forms_vanishing_on, lift, pencil_coefficients,
+                     nullspace, primitive, sign_of)
+from .quadform import (QForm3, canonical_scale, forms_vanishing_on, lift,
                        signature, signature_restriction)
 
 
@@ -123,38 +122,6 @@ def conic_through_five(points: Sequence[Sequence[Scalar]],
     return subconic(canonical_scale(space[0], tol), tol)
 
 
-@dataclass(frozen=True)
-class TCoords:
-    """Affine coordinates of a pencil member: q ~ t1 d1 + t2 d2 + t3 d3, sum 1."""
-    t1: Scalar
-    t2: Scalar
-    t3: Scalar
-    basis: NaturalBasis
-
-    def as_tuple(self) -> tuple[Scalar, Scalar, Scalar]:
-        return (self.t1, self.t2, self.t3)
-
-
-def t_coordinates(q: QForm3, basis: NaturalBasis,
-                  tol: float = DEFAULT_TOL) -> TCoords:
-    """T-plane coordinates of a form in the pencil of a triple.
-
-    Raises ValueError if q is not in the span of the basis, or if it lies on
-    the line at infinity of the t-plane (coefficient sum zero).
-    """
-    c = pencil_coefficients(q, basis, tol)
-    total = c[0] + c[1] + c[2]
-    if sign_of(total, tol) == 0:
-        raise ValueError("form lies on the line at infinity of the t-plane")
-    return TCoords(c[0] / total, c[1] / total, c[2] / total, basis)
-
-
-def from_t(basis: NaturalBasis, t: Sequence[Scalar],
-           tol: float = DEFAULT_TOL) -> Subconic:
-    """The pencil member with the given t-coordinates (need not sum to 1)."""
-    return subconic(combine(list(zip(t, basis.forms))), tol)
-
-
 def strip_direction(q: QForm3, tol: float = DEFAULT_TOL) -> tuple[Scalar, Scalar]:
     """Direction of the boundary lines of a strip (kernel of q̲), canonical sign.
 
@@ -168,9 +135,7 @@ def strip_direction(q: QForm3, tol: float = DEFAULT_TOL) -> tuple[Scalar, Scalar
     u, v = ker[0]
     if is_exact(u, v):
         den = common_denominator((u, v))
-        p, r = int(Fraction(u) * den), int(Fraction(v) * den)
-        g = math.gcd(p, r)
-        p, r = p // g, r // g
+        p, r = primitive(int(Fraction(u) * den), int(Fraction(v) * den))
         if r < 0 or (r == 0 and p < 0):
             p, r = -p, -r
         return (p, r)

@@ -29,7 +29,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .linalg import (DEFAULT_TOL, Scalar, common_denominator, cross, dot2,
-                     sign_of, solve)
+                     fraction_str, primitive, scaled_int, sign_of, solve)
 from .quadform import QForm3, lift
 from .subconic import Subconic, SubconicKind, classify
 
@@ -224,14 +224,9 @@ def parse_surface(text: str) -> SurfaceDesc:
     return validate_surface(polys, pairs)
 
 
-def _fraction_str(x: Scalar) -> str:
-    f = Fraction(x)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
 def surface_to_json(desc: SurfaceDesc) -> str:
     polys = [{"id": pid,
-              "vertices": [[_fraction_str(x), _fraction_str(y)] for x, y in verts]}
+              "vertices": [[fraction_str(x), fraction_str(y)] for x, y in verts]}
              for pid, verts in desc.polygons]
     seen = set()
     gl = []
@@ -302,16 +297,10 @@ def _frame(surface: SurfaceDesc, origin: Point, extra: Iterable[Scalar] = ()):
     """
     L = common_denominator([*origin, *extra, *(c for _, verts in surface.polygons
                                                 for v in verts for c in v)])
-    ox, oy = (_scaled_int(c, L) for c in origin)
-    return L, {pid: [(_scaled_int(x, L) - ox, _scaled_int(y, L) - oy)
+    ox, oy = (scaled_int(c, L) for c in origin)
+    return L, {pid: [(scaled_int(x, L) - ox, scaled_int(y, L) - oy)
                      for x, y in verts]
                for pid, verts in surface.polygons}
-
-
-def _scaled_int(x: Scalar, L: int) -> int:
-    """x * L for an x whose denominator divides L."""
-    f = Fraction(x)
-    return f.numerator * (L // f.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -438,12 +427,11 @@ def develop(surface: SurfaceDesc, base=None, radius: Scalar = 6) -> Chart:
     visible: list = []
     occluded: list = []
     for x, y in sorted(raw, key=lambda p: (p[0] * p[0] + p[1] * p[1], p)):
-        g = math.gcd(x, y) or 1
-        ray = (x // g, y // g)
+        ray = primitive(x, y)
         (occluded if ray in rays else visible).append((x, y))
         rays.add(ray)
 
-    bx, by = (_scaled_int(c, L) for c in local)
+    bx, by = (scaled_int(c, L) for c in local)
 
     def dev_points(frame_points):
         return tuple(DevPoint((Fraction(x + bx, L), Fraction(y + by, L)),
@@ -468,7 +456,7 @@ def locate(chart: Chart, position: Point):
                      [c for pl in chart.placements for c in pl.translation])
     boundary = None
     for pl in chart.placements:
-        tx, ty = (_scaled_int(c, L) for c in pl.translation)
+        tx, ty = (scaled_int(c, L) for c in pl.translation)
         side = _origin_side([(x + tx, y + ty) for x, y in ints[pl.poly_id]])
         if side > 0:
             return (pl.poly_id, _sub(position, pl.translation))

@@ -266,6 +266,12 @@ def veech_check(surface: SurfaceDesc, g, radius=6, tol: float = DEFAULT_TOL,
     classes = {class_key(U.subconic) for U in conics}
     safe_conics = [U for U in conics
                    if all(dist2(p, base) <= safe2 for p in U.boundary_points())]
+    # the class of the image reads only its Gram restriction, which the
+    # translation does not touch: one test serves every candidate tau
+    mismatched = next((U for U in safe_conics
+                       if class_key(transform_by_affine(U.subconic.form, g,
+                                                        (0, 0)))
+                       not in classes), None)
 
     best_detail = "no translation candidate matches the cone points"
     for tau in taus:
@@ -281,12 +287,6 @@ def veech_check(surface: SurfaceDesc, g, radius=6, tol: float = DEFAULT_TOL,
                 break
         if not ok:
             continue
-        mismatched = None
-        for U in safe_conics:
-            q2 = transform_by_affine(U.subconic.form, g, tau)
-            if class_key(q2) not in classes:
-                mismatched = U
-                break
         if mismatched is not None:
             best_detail = (f"cone points match for t={tau} but the rigid "
                            f"conic {mismatched.key()} maps to an unseen "

@@ -2,8 +2,9 @@
 
 Everything here goes through numpy least-squares / SVD on the raw monomial
 matrix rather than the package's pencil arithmetic, so agreement between the
-two routes is meaningful evidence. The reference unfolding at the end is the
-plain Fraction implementation that the integer-frame `develop` must match
+two routes is meaningful evidence. The reference unfolding, rigid conics
+and Veech check at the end are the plain Fraction implementations that the
+integer-frame `develop` and `rigid_conics`, and `veech_check`, must match
 exactly.
 """
 
@@ -191,6 +192,17 @@ def _ref_polygon_dist2(p, verts):
                for i in range(len(verts)))
 
 
+def stretched_l():
+    """The L of unequal squares, with the gluings of `models.l_shape`."""
+    from flatconic.models import l_shape
+    from flatconic.surface import validate_surface
+    F = Fraction
+    return validate_surface(
+        [("p0", ((F(0), F(0)), (F(1), F(0)), (F(5, 2), F(0)), (F(5, 2), F(1)),
+                 (F(1), F(1)), (F(1), F(3, 2)), (F(0), F(3, 2)), (F(0), F(1))))],
+        l_shape().gluings)
+
+
 def reference_develop(surface, base=None, radius=6):
     from flatconic.surface import (Chart, DevPoint, Placement, SurfaceError,
                                    default_base)
@@ -289,3 +301,177 @@ def reference_rebase(chart, position, radius=None):
                 for p in fresh.placements)
     return Chart(fresh.surface, _ref_add(fresh.base, shift),
                  fresh.base_locator, fresh.radius, pts, occ, pls)
+
+
+# ---------------------------------------------------------------------------
+# reference rigid conics and Veech check: the Fraction implementations that
+# the integer-frame `cellcomplex.rigid_conics` and the hoisted class test of
+# `veech.veech_check` must match exactly. O(n^2 m) chord blocking, one
+# conic_through_five solve per chord-visible 5-clique, and `_strip_rigid` on
+# every swept strip; the conic-class test runs inside the translation loop.
+
+def _ref_segment_blocked(points, a, b) -> bool:
+    """Is some cone point strictly between a and b on the segment?"""
+    from flatconic.linalg import cross, dot2, sign_of
+    from flatconic.surface import dist2
+    for w in points:
+        if w == a or w == b:
+            continue
+        if sign_of(cross(a, b, w)) != 0:
+            continue
+        if (sign_of(dot2((w[0] - a[0], w[1] - a[1]),
+                         (b[0] - a[0], b[1] - a[1]))) > 0
+                and dist2(a, w) < dist2(a, b)):
+            return True
+    return False
+
+
+def _ref_primitive(d) -> tuple:
+    import math
+    fx, fy = Fraction(d[0]), Fraction(d[1])
+    den = fx.denominator * fy.denominator // math.gcd(fx.denominator, fy.denominator)
+    p, q = int(fx * den), int(fy * den)
+    g = math.gcd(p, q)
+    if g:
+        p, q = p // g, q // g
+    if q < 0 or (q == 0 and p < 0):
+        p, q = -p, -q
+    return (p, q)
+
+
+def reference_rigid_conics(chart, tol=1e-9):
+    from flatconic.cellcomplex import _ellipse_rigid, _strip_form, _strip_rigid
+    from flatconic.linalg import dot2
+    from flatconic.subconic import SubconicKind, conic_through_five
+    pts = [p.position for p in chart.points]
+    blockers = [p.position for p in chart.window_points]
+    n = len(pts)
+    found = {}
+
+    adj = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if not _ref_segment_blocked(blockers, pts[i], pts[j]):
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+
+    def grow(clique, allowed, start):
+        if len(clique) == 5:
+            five = [pts[i] for i in clique]
+            try:
+                cand = conic_through_five(five, tol)
+            except ValueError:
+                return
+            if cand.kind is not SubconicKind.ELLIPSE_INTERIOR:
+                return
+            rigid = _ellipse_rigid(chart, cand.form, tol)
+            if rigid is not None:
+                found.setdefault(rigid.key(), rigid)
+            return
+        m = allowed >> start
+        i = start
+        while m:
+            if m & 1:
+                grow(clique + [i], allowed & adj[i], i + 1)
+            m >>= 1
+            i += 1
+
+    grow([], (1 << n) - 1, 0)
+
+    directions = set()
+    for i in range(len(blockers)):
+        for j in range(i + 1, len(blockers)):
+            d = (blockers[j][0] - blockers[i][0], blockers[j][1] - blockers[i][1])
+            directions.add(_ref_primitive(d))
+    for d in sorted(directions):
+        normal = (-d[1], d[0])
+        levels = {}
+        for p in blockers:
+            levels.setdefault(dot2(normal, p), []).append(p)
+        order = sorted(levels)
+        for lo, hi in zip(order, order[1:]):
+            if len(levels[lo]) < 2 or len(levels[hi]) < 2:
+                continue
+            rigid = _strip_rigid(chart, _strip_form(normal, lo, hi), tol)
+            if rigid is not None:
+                found.setdefault(rigid.key(), rigid)
+    return [found[k] for k in sorted(found)]
+
+
+def reference_veech_check(surface, g, radius=6, tol=1e-9, chart=None,
+                          conics=None):
+    from flatconic.geom import class_key
+    from flatconic.quadform import transform_by_affine
+    from flatconic.surface import develop, dist2
+    from flatconic.veech import VeechVerdict
+    g = ((Fraction(g[0][0]), Fraction(g[0][1])),
+         (Fraction(g[1][0]), Fraction(g[1][1])))
+    det = g[0][0] * g[1][1] - g[0][1] * g[1][0]
+    if det != 1:
+        raise ValueError(f"matrix must have determinant 1, got {det}")
+    if chart is None:
+        chart = develop(surface, None, radius)
+    positions = {p.position for p in chart.window_points}
+    base = chart.base
+    safe = float(radius) / float(np.linalg.norm(np.array(g, dtype=float), 2))
+    safe2 = Fraction(safe) ** 2
+    r2 = Fraction(radius) ** 2
+    safe_pts = sorted(p for p in positions if dist2(p, base) <= safe2)
+    if not safe_pts:
+        return VeechVerdict("inconclusive", radius, safe, None, 0,
+                            "safe sub-window contains no cone points")
+
+    def apply(p, tau):
+        return (g[0][0] * p[0] + g[0][1] * p[1] + tau[0],
+                g[1][0] * p[0] + g[1][1] * p[1] + tau[1])
+
+    inv = ((g[1][1], -g[0][1]), (-g[1][0], g[0][0]))
+
+    def unapply(p, tau):
+        q = (p[0] - tau[0], p[1] - tau[1])
+        return (inv[0][0] * q[0] + inv[0][1] * q[1],
+                inv[1][0] * q[0] + inv[1][1] * q[1])
+
+    anchor = min(safe_pts, key=lambda p: (dist2(p, base), p))
+    g_anchor = apply(anchor, (0, 0))
+    taus = sorted({(w[0] - g_anchor[0], w[1] - g_anchor[1])
+                   for w in positions},
+                  key=lambda t: (t[0] * t[0] + t[1] * t[1], t))
+
+    if conics is None:
+        conics = reference_rigid_conics(chart, tol)
+    classes = {class_key(U.subconic) for U in conics}
+    safe_conics = [U for U in conics
+                   if all(dist2(p, base) <= safe2 for p in U.boundary_points())]
+
+    best_detail = "no translation candidate matches the cone points"
+    for tau in taus:
+        ok = True
+        for p in safe_pts:
+            image = apply(p, tau)
+            if dist2(image, base) <= r2 and image not in positions:
+                ok = False
+                break
+            pre = unapply(p, tau)
+            if dist2(pre, base) <= safe2 and pre not in positions:
+                ok = False
+                break
+        if not ok:
+            continue
+        mismatched = None
+        for U in safe_conics:
+            q2 = transform_by_affine(U.subconic.form, g, tau)
+            if class_key(q2) not in classes:
+                mismatched = U
+                break
+        if mismatched is not None:
+            best_detail = (f"cone points match for t={tau} but the rigid "
+                           f"conic {mismatched.key()} maps to an unseen "
+                           "homothety class")
+            continue
+        return VeechVerdict("member-in-window", radius, safe, tau,
+                            len(safe_pts),
+                            f"bijective on {len(safe_pts)} cone points, "
+                            f"{len(safe_conics)} rigid conic classes matched")
+    return VeechVerdict("rejected", radius, safe, None, len(safe_pts),
+                        best_detail)

@@ -3,8 +3,13 @@
 import json
 from collections import Counter
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+import oracles
 
 from flatconic.cellcomplex import (
     CellMatching,
@@ -25,7 +30,7 @@ from flatconic.cellcomplex import (
 from flatconic.models import square_torus, two_marked_torus
 from flatconic.quadform import canonical_scale
 from flatconic.subconic import SubconicKind, contains
-from flatconic.surface import develop
+from flatconic.surface import develop, parse_surface
 
 SEED = ((0, 0), (0, 1), (1, 0))
 
@@ -277,3 +282,60 @@ def test_frontier_bijection_rejects_non_injective_matchings(torus_chart):
     bad = CellMatching(faces, dict(phi.edges), dict(phi.vertices))
     with pytest.raises(ValueError, match="not injective"):
         frontier_bijection(A, A, bad)
+
+
+# ---------------------------------------------------------------------------
+# the integer-frame rigid conics against the Fraction reference in oracles.py
+
+STOCK = {path.stem: parse_surface(path.read_text())
+         for path in sorted((Path(__file__).resolve().parent.parent
+                             / "surfaces").glob("*.tsurf"))}
+
+
+def rigid_surface(spec):
+    if spec[0] == "stock":
+        return STOCK[spec[1]]
+    if spec[0] == "marked":
+        return two_marked_torus(marked=spec[1])
+    return oracles.stretched_l()
+
+
+@st.composite
+def rigid_cases(draw):
+    """(surface spec, base or None, radius): a stock model at R2-R4 from a
+    base of denominator <= 8, a two-marked torus with marked point of
+    denominators 3-5 at R3/2, or the stretched L at R2."""
+    family = draw(st.sampled_from(["stock", "marked", "stretched_l"]))
+    if family == "marked":
+        m = tuple(draw(st.builds(F, st.integers(1, 4), st.integers(3, 5))
+                       .filter(lambda f: f < 1 and f.denominator >= 3))
+              for _ in range(2))
+        return ("marked", m), None, F(3, 2)
+    if family == "stretched_l":
+        return ("stretched_l",), None, F(2)
+    name = draw(st.sampled_from(sorted(STOCK)))
+    pid, verts = draw(st.sampled_from(STOCK[name].polygons))
+    x = draw(st.fractions(min(v[0] for v in verts), max(v[0] for v in verts),
+                          max_denominator=8))
+    y = draw(st.fractions(min(v[1] for v in verts), max(v[1] for v in verts),
+                          max_denominator=8))
+    assume((x, y) not in verts
+           and oracles.reference_point_in_polygon((x, y), verts) >= 0)
+    # the stock two-marked torus has rigid ellipses: beyond R2 its 5-cliques
+    # take the reference minutes
+    radii = [2] if name == "two_marked_torus" else [2, 3, 4]
+    return ("stock", name), (pid, (x, y)), F(draw(st.sampled_from(radii)))
+
+
+@settings(max_examples=6, deadline=None)
+@given(rigid_cases())
+@example((("marked", (F(1, 3), F(1, 5))), None, F(2)))
+@example((("stock", "torus"), None, F(6)))
+def test_integer_frame_rigid_conics_match_the_fraction_reference(case):
+    spec, base, radius = case
+    chart = develop(rigid_surface(spec), base, radius)
+    got = rigid_conics(chart)
+    ref = oracles.reference_rigid_conics(chart)
+    assert [(u.kind, u.subconic.form, u.boundary, u.truncated) for u in got] \
+        == [(u.kind, u.subconic.form, u.boundary, u.truncated) for u in ref]
+    assert repr(got) == repr(ref)

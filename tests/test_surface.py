@@ -161,11 +161,7 @@ def test_inradius_bound_is_positive_and_fits_inside():
 STOCK = Path(__file__).resolve().parent.parent / "surfaces"
 UNFOLDED = {path.stem: parse_surface(path.read_text())
             for path in sorted(STOCK.glob("*.tsurf"))}
-# the L with unequal squares: same gluings as models.l_shape
-UNFOLDED["stretched_l"] = validate_surface(
-    [("p0", ((F(0), F(0)), (F(1), F(0)), (F(5, 2), F(0)), (F(5, 2), F(1)),
-             (F(1), F(1)), (F(1), F(3, 2)), (F(0), F(3, 2)), (F(0), F(1))))],
-    l_shape().gluings)
+UNFOLDED["stretched_l"] = oracles.stretched_l()
 UNFOLDED["marked_third_fifth"] = two_marked_torus(marked=(F(1, 3), F(1, 5)))
 
 

@@ -1,12 +1,19 @@
 """Affine recovery, windowed Veech membership, and tessellation output."""
 
+import functools
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
 
 from flatconic.cellcomplex import build_complex, matching_from_affine, rigid_conics
-from flatconic.geom import INFINITY
-from flatconic.models import square_torus
+from flatconic.geom import INFINITY, class_key
+from flatconic.models import l_shape, square_torus, two_marked_torus
+from flatconic.quadform import transform_by_affine
+from flatconic.subconic import SubconicKind
 from flatconic.surface import develop
 from flatconic.veech import (
     discover_affine,
@@ -168,3 +175,59 @@ def test_tessellation_edges_use_face_corners(window_a):
             corner_pairs.add(frozenset((vs[i], vs[(i + 1) % 3])))
     for _, (a, b) in tess.edges:
         assert frozenset((str(a), str(b))) in corner_pairs
+
+
+# ---------------------------------------------------------------------------
+# the hoisted conic-class test against the reference check in oracles.py
+
+VERDICT_STRATA = {
+    "torus-R3": (square_torus(), 3),
+    "marked-third-R2": (two_marked_torus(marked=(F(1, 3), F(1, 3))), 2),
+    "L-R3": (l_shape(), 3),
+    "L-R4": (l_shape(), 4),
+}
+VERDICT_MATRICES = (T, S, ((1, 2), (0, 1)), ((2, 1), (1, 1)),
+                    ((1, F(1, 2)), (0, 1)))
+
+
+@pytest.mark.parametrize("stratum", sorted(VERDICT_STRATA))
+def test_veech_verdicts_match_the_reference(stratum):
+    surface, radius = VERDICT_STRATA[stratum]
+    chart = develop(surface, None, radius)
+    conics = rigid_conics(chart)
+    details = []
+    for g in VERDICT_MATRICES:
+        got = veech_check(surface, g, radius, chart=chart, conics=conics)
+        ref = oracles.reference_veech_check(surface, g, radius, chart=chart,
+                                            conics=conics)
+        assert got == ref
+        details.append(got.detail)
+    if stratum == "L-R4":
+        # S passes the cone-point test and fails the class test
+        assert "maps to an unseen homothety class" in details[1]
+
+
+@functools.cache
+def _rigid_pool():
+    return [u for surface, radius in (
+                (two_marked_torus(marked=(F(1, 3), F(1, 5))), 2),
+                (square_torus(), 3), (l_shape(), 3), (oracles.stretched_l(), 2))
+            for u in rigid_conics(develop(surface, None, radius))]
+
+
+# ellipses and strips in equal measure; the pool is built on first draw
+RIGID_FORMS = st.one_of(*(
+    st.deferred(lambda k=k: st.sampled_from(
+        [u.subconic.form for u in _rigid_pool() if u.kind is k]))
+    for k in (SubconicKind.ELLIPSE_INTERIOR, SubconicKind.STRIP)))
+SL2Z_SMALL = [((a, b), (c, d)) for a in range(-3, 4) for b in range(-3, 4)
+              for c in range(-3, 4) for d in range(-3, 4) if a * d - b * c == 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(RIGID_FORMS, st.sampled_from(SL2Z_SMALL),
+       st.tuples(st.fractions(-5, 5, max_denominator=12),
+                 st.fractions(-5, 5, max_denominator=12)))
+def test_image_class_does_not_depend_on_the_translation(q, g, tau):
+    assert class_key(transform_by_affine(q, g, tau)) == \
+        class_key(transform_by_affine(q, g, (0, 0)))
