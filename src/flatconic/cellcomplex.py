@@ -27,11 +27,11 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
-from .linalg import (DEFAULT_TOL, Scalar, common_denominator, convex_hull_ccw,
-                     cross, dot2, fraction_str, primitive, scaled_int, sign_of)
+from .linalg import (Scalar, common_denominator, convex_hull_ccw, cross, dot2,
+                     fraction_str, primitive, scaled_int, sign_of)
 from .quadform import (CollinearTripleError, NaturalBasis, QForm3,
-                       canonical_scale, combine, lift, natural_basis,
-                       transform_by_affine)
+                       canonical_scale, combine, ellipse_center, lift,
+                       natural_basis, transform_by_affine)
 from .subconic import (Subconic, SubconicKind, classify, conic_through_five,
                        strip_direction, subconic)
 from .surface import (Chart, DevPoint, Fit, SurfaceError, dist2, rebase,
@@ -89,8 +89,7 @@ class RigidConic:
         return succ
 
 
-def _ellipse_rigid(chart: Chart, q: QForm3, tol: float = DEFAULT_TOL
-                   ) -> Optional[RigidConic]:
+def _ellipse_rigid(chart: Chart, q: QForm3) -> Optional[RigidConic]:
     """Extend an ellipse form to its full windowed rigid conic, or reject.
 
     Checks >= 5 boundary cone points, empty interior, and the immersion
@@ -100,39 +99,30 @@ def _ellipse_rigid(chart: Chart, q: QForm3, tol: float = DEFAULT_TOL
     """
     zeros = []
     for p in chart.window_points:
-        s = sign_of(q(lift(p.position)), tol)
+        s = sign_of(q(lift(p.position)))
         if s < 0:
             return None
         if s == 0:
             zeros.append(p.position)
     if len(zeros) < 5:
         return None
-    center = _ellipse_center(q)
-    fit = subconic_fits(rebase(chart, center), q, tol)
+    fit = subconic_fits(rebase(chart, ellipse_center(q)), q)
     if fit is Fit.NO:
         return None
     cyc = convex_hull_ccw(zeros)
     if len(cyc) != len(zeros):
         return None  # boundary points of an ellipse are in convex position
-    return RigidConic(subconic(canonical_scale(q, tol), tol), tuple(cyc),
+    return RigidConic(subconic(canonical_scale(q)), tuple(cyc),
                       truncated=(fit is not Fit.YES))
 
 
-def _ellipse_center(q: QForm3) -> Position:
-    from .linalg import solve
-    A = q.gram_restriction()
-    c = solve([[A[0][0], A[0][1]], [A[1][0], A[1][1]]], [-q.a13, -q.a23])
-    return (c[0], c[1])
-
-
-def _strip_rigid(chart: Chart, q: QForm3, tol: float = DEFAULT_TOL
-                 ) -> Optional[RigidConic]:
+def _strip_rigid(chart: Chart, q: QForm3) -> Optional[RigidConic]:
     """Windowed maximal strip through the zero set of q; always truncated."""
-    direction = strip_direction(q, tol)
+    direction = strip_direction(q)
     normal = (-direction[1], direction[0])
     zeros = []
     for p in chart.window_points:
-        s = sign_of(q(lift(p.position)), tol)
+        s = sign_of(q(lift(p.position)))
         if s < 0:
             return None
         if s == 0:
@@ -151,11 +141,11 @@ def _strip_rigid(chart: Chart, q: QForm3, tol: float = DEFAULT_TOL
         if i == 1:
             pts.reverse()
         lines.append(tuple(pts))
-    return RigidConic(subconic(canonical_scale(q, tol), tol),
+    return RigidConic(subconic(canonical_scale(q)),
                       (lines[0], lines[1]), truncated=True)
 
 
-def rigid_conics(chart: Chart, tol: float = DEFAULT_TOL) -> list[RigidConic]:
+def rigid_conics(chart: Chart) -> list[RigidConic]:
     """All windowed rigid conics: empty-interior ellipses through >= 5 cone
     points (that fit the chart) and maximal strips with 2+2 boundary points.
 
@@ -209,12 +199,12 @@ def rigid_conics(chart: Chart, tol: float = DEFAULT_TOL) -> list[RigidConic]:
             if len(hull) < 5 or not _empty_pentagon(hull, ints):
                 return
             try:
-                cand = conic_through_five([window[i] for i in clique], tol)
+                cand = conic_through_five([window[i] for i in clique])
             except ValueError:
                 return
             if cand.kind is not SubconicKind.ELLIPSE_INTERIOR:
                 return
-            rigid = _ellipse_rigid(chart, cand.form, tol)
+            rigid = _ellipse_rigid(chart, cand.form)
             if rigid is not None:
                 found.setdefault(rigid.key(), rigid)
             return
@@ -255,7 +245,7 @@ def rigid_conics(chart: Chart, tol: float = DEFAULT_TOL) -> list[RigidConic]:
             # exactly between the two lines: always a strip
             q = _strip_form(normal, Fraction(lo, L), Fraction(hi, L))
             rigid = RigidConic(
-                Subconic(canonical_scale(q, tol), SubconicKind.STRIP),
+                Subconic(q, SubconicKind.STRIP),
                 (tuple(window[k] for k in low),
                  tuple(window[k] for k in reversed(high))),
                 truncated=True)
@@ -272,11 +262,14 @@ def _empty_pentagon(hull: list, points: list) -> bool:
 
 
 def _strip_form(normal: Position, lo: Scalar, hi: Scalar) -> QForm3:
+    """(nx*x + ny*y - lo)(nx*x + ny*y - hi) for an int normal, already in
+    `canonical_scale`: divided by its leading coefficient nx², or ny² when
+    nx = 0. The form has signature (1, 1, 1), so no sign flip applies."""
     nx, ny = normal
-    # (nx*x + ny*y - lo)(nx*x + ny*y - hi)
-    return QForm3(nx * nx, ny * ny, lo * hi,
-                  Fraction(2 * nx * ny, 2), Fraction(-(lo + hi) * nx, 2),
-                  Fraction(-(lo + hi) * ny, 2))
+    lead = nx * nx or ny * ny
+    return QForm3(Fraction(nx * nx, lead), Fraction(ny * ny, lead),
+                  lo * hi / lead, Fraction(nx * ny, lead),
+                  -(lo + hi) * nx / (2 * lead), -(lo + hi) * ny / (2 * lead))
 
 
 # ---------------------------------------------------------------------------
@@ -326,8 +319,8 @@ class FeasibleRegion:
     triple: tuple                 # positions, counterclockwise
 
 
-def feasible_region(chart: Chart, Z, equality: Optional[Position] = None,
-                    tol: float = DEFAULT_TOL) -> FeasibleRegion:
+def feasible_region(chart: Chart, Z,
+                    equality: Optional[Position] = None) -> FeasibleRegion:
     """Clip the T-plane simplex by every cone-point constraint.
 
     Re-bases the chart at the triangle centroid so the visibility region is
@@ -407,7 +400,7 @@ class TwoCell:
         return _pos_key(self.triple)
 
 
-def two_cell(chart: Chart, Z, tol: float = DEFAULT_TOL) -> TwoCell:
+def two_cell(chart: Chart, Z) -> TwoCell:
     """The 2-cell of a realizable triple, as an exact convex T-plane polygon.
 
     Every polygon side is supported by one extra cone point (its quadruple is
@@ -415,7 +408,7 @@ def two_cell(chart: Chart, Z, tol: float = DEFAULT_TOL) -> TwoCell:
     Raises NotRealizable when the feasible set has no interior; incomplete
     certificates (window effects) are reported through flags, not errors.
     """
-    region = feasible_region(chart, Z, tol=tol)
+    region = feasible_region(chart, Z)
     poly = region.polygon
     if len(poly) < 3 or sign_of(_area2(poly)) <= 0:
         raise NotRealizable(
@@ -426,7 +419,7 @@ def two_cell(chart: Chart, Z, tol: float = DEFAULT_TOL) -> TwoCell:
     # constraints were too sparse to pin the elliptic region
     cx = sum(p[0] for p in poly) / len(poly)
     cy = sum(p[1] for p in poly) / len(poly)
-    sample = classify(_form_at(region.basis, cx, cy), tol)
+    sample = classify(_form_at(region.basis, cx, cy))
     if sample.kind is not SubconicKind.ELLIPSE_INTERIOR:
         raise WindowTooSmall(
             f"interior sample of the feasible polygon for {tuple(Z)} is "
@@ -452,7 +445,7 @@ def two_cell(chart: Chart, Z, tol: float = DEFAULT_TOL) -> TwoCell:
         if len(supporters) > 1:
             flags.append(f"side {i} supported by {len(supporters)} cone points")
         mid = classify(_form_at(region.basis, (p[0] + q[0]) / 2,
-                                (p[1] + q[1]) / 2), tol)
+                                (p[1] + q[1]) / 2))
         if mid.kind is not SubconicKind.ELLIPSE_INTERIOR:
             flags.append(f"side {i} midpoint is {mid.kind.value}")
         edge_quads.append(_pos_key(list(region.triple) + [supporters[0]]))
@@ -460,17 +453,17 @@ def two_cell(chart: Chart, Z, tol: float = DEFAULT_TOL) -> TwoCell:
     vertex_conics = []
     for i, (t1, t2) in enumerate(poly):
         form = _form_at(region.basis, t1, t2)
-        kind = classify(form, tol).kind
+        kind = classify(form).kind
         rigid = None
         # vertex data is computed against the chart as given (not the
         # rebased one used for the constraints), so the same conic gets the
         # same windowed boundary from every cell that touches it
         if kind is SubconicKind.STRIP:
-            rigid = _strip_rigid(chart, form, tol)
+            rigid = _strip_rigid(chart, form)
             if rigid is None:
                 flags.append(f"vertex {i}: strip data incomplete in window")
         elif kind is SubconicKind.ELLIPSE_INTERIOR:
-            rigid = _ellipse_rigid(chart, form, tol)
+            rigid = _ellipse_rigid(chart, form)
             if rigid is None:
                 flags.append(f"vertex {i}: ellipse certificate failed in window")
             elif rigid.truncated:
@@ -485,25 +478,25 @@ def two_cell(chart: Chart, Z, tol: float = DEFAULT_TOL) -> TwoCell:
                    tuple(edge_quads), region.basis, complete, tuple(flags))
 
 
-def realizable_triple(chart: Chart, Z, tol: float = DEFAULT_TOL) -> bool:
+def realizable_triple(chart: Chart, Z) -> bool:
     """Feasibility route: is Z exactly the cone-point set of some subconic
     with a 2-dimensional family certifying the 2-cell?"""
     try:
-        two_cell(chart, Z, tol)
+        two_cell(chart, Z)
         return True
     except NotRealizable:
         return False
 
 
-def realizable_quadruple(chart: Chart, Z4, within: Optional[RigidConic] = None,
-                         tol: float = DEFAULT_TOL) -> bool:
+def realizable_quadruple(chart: Chart, Z4,
+                         within: Optional[RigidConic] = None) -> bool:
     """Feasibility route: the pencil through the 4 points cuts the feasible
     region in a nondegenerate segment with an ellipse interior sample.
 
     With `within` supplied, the combinatorial criterion (partition into two
     successor-adjacent pairs) is computed as well and must agree.
     """
-    feas = _quadruple_feasible(chart, Z4, tol)
+    feas = _quadruple_feasible(chart, Z4)
     if within is not None:
         comb = combinatorial_quadruple(within, Z4)
         if comb != feas:
@@ -513,7 +506,7 @@ def realizable_quadruple(chart: Chart, Z4, within: Optional[RigidConic] = None,
     return feas
 
 
-def _quadruple_feasible(chart: Chart, Z4, tol: float) -> bool:
+def _quadruple_feasible(chart: Chart, Z4) -> bool:
     Z4 = [tuple(p) for p in Z4]
     if len(set(Z4)) != 4:
         return False
@@ -522,7 +515,7 @@ def _quadruple_feasible(chart: Chart, Z4, tol: float) -> bool:
         if sign_of(cross(*triple)) == 0:
             continue
         try:
-            region = feasible_region(chart, list(triple), equality=rest, tol=tol)
+            region = feasible_region(chart, list(triple), equality=rest)
         except NotRealizable:
             return False
         pts = region.polygon
@@ -534,7 +527,7 @@ def _quadruple_feasible(chart: Chart, Z4, tol: float) -> bool:
             return False
         (a, b) = ends[1]
         mid = ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
-        kind = classify(_form_at(region.basis, mid[0], mid[1]), tol).kind
+        kind = classify(_form_at(region.basis, mid[0], mid[1])).kind
         return kind is SubconicKind.ELLIPSE_INTERIOR
     return False
 
@@ -673,8 +666,7 @@ class CellComplexWindow:
     exhausted: bool      # True when no frontier remained within the budget
 
 
-def build_complex(chart: Chart, seed, budget: int = 20,
-                  tol: float = DEFAULT_TOL) -> CellComplexWindow:
+def build_complex(chart: Chart, seed, budget: int = 20) -> CellComplexWindow:
     """Breadth-first exploration of 2-cells from a seed triple.
 
     Crossing a boundary 1-cell leads to the other realizable triples inside
@@ -682,7 +674,7 @@ def build_complex(chart: Chart, seed, budget: int = 20,
     result is deterministic for a given chart, seed and budget.
     """
     seed_key = _pos_key(seed)
-    first = two_cell(chart, seed, tol)  # raises NotRealizable for bad seeds
+    first = two_cell(chart, seed)  # raises NotRealizable for bad seeds
     cells = {seed_key: first}
     edges: dict = {}
     vertices: dict = {}
@@ -701,7 +693,7 @@ def build_complex(chart: Chart, seed, budget: int = 20,
                     if tkey in cells or tkey == cell_key:
                         continue
                     try:
-                        new = two_cell(chart, triple, tol)
+                        new = two_cell(chart, triple)
                     except (NotRealizable, WindowTooSmall):
                         continue
                     cells[tkey] = new
@@ -723,7 +715,7 @@ def build_complex(chart: Chart, seed, budget: int = 20,
                              _pos_key(seed), budget, exhausted)
 
 
-def default_seed(chart: Chart, tol: float = DEFAULT_TOL) -> tuple:
+def default_seed(chart: Chart) -> tuple:
     """The first realizable triple among the visible points nearest the base.
 
     Candidates are scanned in (distance, position) order over the eight
@@ -733,7 +725,7 @@ def default_seed(chart: Chart, tol: float = DEFAULT_TOL) -> tuple:
         chart.points, key=lambda d: (dist2(d.position, chart.base), d.position))]
     for triple in combinations(pts[:8], 3):
         try:
-            two_cell(chart, triple, tol)
+            two_cell(chart, triple)
         except (NotRealizable, WindowTooSmall, CollinearTripleError):
             continue
         return triple

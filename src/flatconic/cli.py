@@ -2,21 +2,20 @@
 membership, rebuild affine maps between surfaces, and render tessellations.
 
 Exit codes: 0 success, 2 input error, 3 infeasible request (seed not
-realizable, or the window is too small to decide), 4 tolerance or
-certification failure. Identical inputs produce byte-identical outputs.
+realizable, or the window is too small to decide), 4 certification
+failure. Identical inputs produce byte-identical outputs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
 from .cellcomplex import (NotRealizable, WindowTooSmall, build_complex,
                           complex_to_json, default_seed)
-from .linalg import DEFAULT_TOL, fraction_str
+from .linalg import fraction_str
 from .render import render_svg
 from .surface import SurfaceError, develop, parse_surface
 from .veech import discover_affine, tessellate, veech_check
@@ -80,7 +79,7 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def cmd_develop(args, tol: float) -> int:
+def cmd_develop(args) -> int:
     surface = _load_surface(args.surface)
     chart = develop(surface, base=args.base, radius=args.radius)
     lines = []
@@ -92,36 +91,35 @@ def cmd_develop(args, tol: float) -> int:
     return 0
 
 
-def cmd_complex(args, tol: float) -> int:
+def cmd_complex(args) -> int:
     surface = _load_surface(args.surface)
     chart = develop(surface, base=args.base, radius=args.radius)
-    seed = args.seed if args.seed else default_seed(chart, tol)
-    window = build_complex(chart, seed, budget=args.budget, tol=tol)
+    seed = args.seed if args.seed else default_seed(chart)
+    window = build_complex(chart, seed, budget=args.budget)
     _emit(args, complex_to_json(window) + "\n")
     return 0
 
 
-def cmd_veech(args, tol: float) -> int:
+def cmd_veech(args) -> int:
     surface = _load_surface(args.surface)
     (a, b), (c, d) = args.matrix
     if a * d - b * c != 1:
         print("error: matrix must have determinant 1", file=sys.stderr)
         return 2
-    verdict = veech_check(surface, args.matrix, radius=args.radius, tol=tol)
+    verdict = veech_check(surface, args.matrix, radius=args.radius)
     print(verdict)
     return 0 if verdict.verdict in ("member-in-window", "rejected") else 3
 
 
-def cmd_rebuild(args, tol: float) -> int:
+def cmd_rebuild(args) -> int:
     source = _load_surface(args.source)
     target = _load_surface(args.target)
     chart_a = develop(source, radius=args.radius)
     chart_b = develop(target, radius=args.radius)
-    A = build_complex(chart_a, default_seed(chart_a, tol),
-                      budget=args.budget, tol=tol)
-    B = build_complex(chart_b, default_seed(chart_b, tol),
-                      budget=args.target_budget or args.budget, tol=tol)
-    rec, phi = discover_affine(A, B, tol)
+    A = build_complex(chart_a, default_seed(chart_a), budget=args.budget)
+    B = build_complex(chart_b, default_seed(chart_b),
+                      budget=args.target_budget or args.budget)
+    rec, phi = discover_affine(A, B)
     print(_fmt_matrix(rec.linear))
     print(f"homothety: {fraction_str(rec.homothety)}")
     print(f"translation: ({fraction_str(rec.translation[0])},"
@@ -131,11 +129,11 @@ def cmd_rebuild(args, tol: float) -> int:
     return 0
 
 
-def cmd_tessellate(args, tol: float) -> int:
+def cmd_tessellate(args) -> int:
     surface = _load_surface(args.surface)
     chart = develop(surface, base=args.base, radius=args.radius)
-    seed = args.seed if args.seed else default_seed(chart, tol)
-    window = build_complex(chart, seed, budget=args.budget, tol=tol)
+    seed = args.seed if args.seed else default_seed(chart)
+    window = build_complex(chart, seed, budget=args.budget)
     tess = tessellate(window)
     if args.svg:
         svg = render_svg(tess, model=args.model, horizon=args.horizon)
@@ -225,17 +223,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    tol = DEFAULT_TOL
-    env = os.environ.get("FLATCONIC_TOL")
-    if env:
-        try:
-            tol = float(env)
-        except ValueError:
-            print(f"error: FLATCONIC_TOL is not a number: {env!r}",
-                  file=sys.stderr)
-            return 2
     try:
-        return args.func(args, tol)
+        return args.func(args)
     except FileNotFoundError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -1,9 +1,11 @@
 """Metric geometry of ellipse forms: rotations, bisectors, quadruple forms,
 normalization, homothety classes, and the chord-parallelism harness.
 
-Everything here runs in floating point (angles and eigenvectors are
-irrational); these routines verify identities, they do not feed the exact
-predicates elsewhere.
+The metric quantities here (angles, eigenvectors, normalizations) are
+floating point, since they are irrational; they verify identities and do not
+feed the exact predicates elsewhere. `class_key`, the one invariant the Veech
+check compares, is exact. Forms with float coefficients, as in the float
+lemma configurations, are classified by `_float_shape` alone.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ import numpy as np
 import scipy.linalg
 
 from .quadform import QForm3
-from .subconic import Subconic, SubconicKind, classify, strip_direction
+from .subconic import (_KIND_TABLE, Subconic, SubconicKind, classify,
+                       strip_direction)
 
 Mat2 = tuple[tuple[float, float], tuple[float, float]]
 
@@ -129,10 +132,43 @@ def quadruple_form(qbar, Q: Sequence, tol: float = ANGLE_TOL) -> QuadrupleForm:
                          pos, neg, u_Q, tuple(angles))
 
 
+def _float_shape(q: QForm3) -> tuple[SubconicKind, Optional[float]]:
+    """Kind of {q < 0} and, for strips, the direction angle in [0, pi), for a
+    form with float coefficients, from numpy eigenpairs banded by ANGLE_TOL.
+
+    The float lemma configurations need the band: rounding leaves the
+    restriction of a float strip only nearly singular, which the exact
+    classification would call an ellipse or a hyperbola.
+    """
+    def eig_signature(gram):
+        w, v = np.linalg.eigh(np.array(gram, dtype=float))
+        band = ANGLE_TOL * max(1.0, float(np.max(np.abs(w))))
+        return (int(np.sum(w > band)), int(np.sum(w < -band))), w, v
+
+    sig3, _, _ = eig_signature(q.gram())
+    sig2, w, v = eig_signature(q.gram_restriction())
+    kind = _KIND_TABLE.get((sig3, sig2), SubconicKind.OTHER)
+    if kind is not SubconicKind.STRIP:
+        return kind, None
+    k = int(np.argmin(np.abs(w)))   # the null direction of the restriction
+    return kind, math.atan2(v[1][k], v[0][k]) % math.pi
+
+
+def _shape(U: Union[Subconic, QForm3]):
+    """(form, kind, float strip angle or None): exact forms and Subconics are
+    classified exactly; only forms with float coefficients take
+    `_float_shape`."""
+    if isinstance(U, Subconic):
+        return U.form, U.kind, None
+    if any(isinstance(c, float) for c in U.coeffs()):
+        return (U, *_float_shape(U))
+    return U, classify(U).kind, None
+
+
 def normalize_ellipse(q: QForm3):
     """Translation t, scale lam, and restricted form so that the boundary of
     {q < 0} maps onto {qbar = 1} under z -> lam (z + t)."""
-    kind = classify(q).kind
+    _, kind, _ = _shape(q)
     if kind is not SubconicKind.ELLIPSE_INTERIOR:
         raise ValueError(f"normalize_ellipse expects an ellipse interior, got {kind.value}")
     A = np.array(q.gram(), dtype=float)
@@ -154,13 +190,14 @@ class HomothetyClass:
 
 
 def homothety_class(U: Union[Subconic, QForm3]) -> HomothetyClass:
-    q = U.form if isinstance(U, Subconic) else U
-    kind = (U.kind if isinstance(U, Subconic) else classify(q).kind)
+    q, kind, angle = _shape(U)
     if kind is SubconicKind.ELLIPSE_INTERIOR:
         Abar = np.array(q.gram_restriction(), dtype=float)
         scaled = Abar / math.sqrt(np.linalg.det(Abar))
         return HomothetyClass(kind, matrix=((scaled[0][0], scaled[0][1]),
                                             (scaled[1][0], scaled[1][1])))
+    if angle is not None:
+        return HomothetyClass(kind, angle=angle)
     if kind is SubconicKind.STRIP:
         d = strip_direction(q)
         angle = math.atan2(float(d[1]), float(d[0])) % math.pi
@@ -174,15 +211,10 @@ def class_key(U: Union[Subconic, QForm3]):
     q = U.form if isinstance(U, Subconic) else U
     kind = (U.kind if isinstance(U, Subconic) else classify(q).kind)
     if kind is SubconicKind.STRIP:
-        p, s = strip_direction(q)
-        if p < 0 or (p == 0 and s < 0):
-            p, s = -p, -s
-        return ("strip", p, s)
+        return ("strip", *strip_direction(q))
     if kind is SubconicKind.ELLIPSE_INTERIOR:
         (a, b), (_, c) = q.gram_restriction()
-        if q.exact():
-            return ("ellipse", Fraction(b) / Fraction(a), Fraction(c) / Fraction(a))
-        return ("ellipse", b / a, c / a)
+        return ("ellipse", Fraction(b) / Fraction(a), Fraction(c) / Fraction(a))
     raise ValueError(f"no homothety class for kind {kind.value}")
 
 

@@ -1,8 +1,10 @@
-"""Small exact/float linear algebra used by the form and complex machinery.
+"""Small exact linear algebra used by the form and complex machinery.
 
 Everything here is dimension-agnostic but only ever sees tiny matrices
 (rows of length 6 for conic constraint systems, 2x2 and 3x3 Gram blocks).
-Exact paths run over fractions.Fraction; float paths delegate to numpy.
+Arithmetic is exact: rows and Gram blocks are scaled to Python ints by the
+common denominator of their entries, and results come back as Fractions. A
+float input is taken at its exact binary value.
 """
 
 from __future__ import annotations
@@ -11,34 +13,12 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-import numpy as np
-
 Scalar = int | Fraction | float
 
-#: default comparison tolerance for float inputs; exact inputs ignore it.
-DEFAULT_TOL = 1e-9
 
-
-def is_exact(*values) -> bool:
-    """True if every scalar in the (possibly nested) arguments is int/Fraction."""
-    for v in values:
-        if isinstance(v, (list, tuple)):
-            if not is_exact(*v):
-                return False
-        elif isinstance(v, bool) or not isinstance(v, (int, Fraction)):
-            return False
-    return True
-
-
-def sign_of(x: Scalar, tol: float = DEFAULT_TOL) -> int:
-    """Sign as -1/0/+1; floats use a symmetric tolerance band around zero."""
-    if isinstance(x, float):
-        if abs(x) <= tol:
-            return 0
-        return 1 if x > 0 else -1
-    if x == 0:
-        return 0
-    return 1 if x > 0 else -1
+def sign_of(x: Scalar) -> int:
+    """Exact sign as -1/0/+1."""
+    return (x > 0) - (x < 0)
 
 
 def common_denominator(values: Iterable[Scalar]) -> int:
@@ -70,28 +50,22 @@ def fraction_str(x: Scalar) -> str:
 
 
 def _clear_denominators(row: Sequence[Scalar]) -> list[int]:
-    den = common_denominator(row)
-    return [int(Fraction(v) * den) for v in row]
+    """The row times the least common denominator of its entries, as ints."""
+    ratios = [v.as_integer_ratio() for v in row]
+    den = math.lcm(*(d for _, d in ratios))
+    return [n * (den // d) for n, d in ratios]
 
 
-def nullspace(rows: Sequence[Sequence[Scalar]], width: int,
-              tol: float = DEFAULT_TOL) -> list[tuple[Scalar, ...]]:
-    """Basis of {v : R v = 0} for the given constraint rows.
+def nullspace(rows: Sequence[Sequence[Scalar]],
+              width: int) -> list[tuple[Fraction, ...]]:
+    """Basis of {v : R v = 0} for the given constraint rows, as Fractions.
 
-    Exact inputs use fraction-free (Bareiss) elimination with full pivoting;
-    float inputs go through numpy's SVD with `tol` as the rank cutoff.
-    Returned basis vectors are exact Fractions in the exact case.
+    Fraction-free (Bareiss) elimination with full pivoting on the rows
+    cleared of denominators.
     """
-    rows = [list(r) for r in rows if any(sign_of(v, tol) for v in r)]
-    if not rows:
+    mat = [_clear_denominators(r) for r in rows if any(r)]
+    if not mat:
         return [tuple(Fraction(int(i == j)) for j in range(width)) for i in range(width)]
-    if not is_exact(*rows):
-        a = np.array([[float(v) for v in r] for r in rows], dtype=float)
-        _, s, vt = np.linalg.svd(a)
-        rank = int(np.sum(s > tol * max(1.0, s[0])))
-        return [tuple(float(x) for x in vt[i]) for i in range(rank, width)]
-
-    mat = [_clear_denominators(r) for r in rows]
     m = len(mat)
     col_order = list(range(width))
     prev_pivot = 1
@@ -153,16 +127,14 @@ def solve(matrix: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]):
     return tuple(a[i][n] / a[i][i] for i in range(n))
 
 
-def real_rooted_signs(coeffs: Sequence[Scalar], tol: float = DEFAULT_TOL) -> tuple[int, int, int]:
+def real_rooted_signs(coeffs: Sequence[Scalar]) -> tuple[int, int, int]:
     """(positive, negative, zero) root counts of a real-rooted polynomial.
 
     `coeffs` are highest-degree first. Uses Descartes' rule, which is exact
     when all roots are real (characteristic polynomials of symmetric
-    matrices). Float coefficients are zero-banded by tol relative to the
-    largest coefficient.
+    matrices).
     """
-    scale = max((abs(float(c)) for c in coeffs), default=0.0)
-    sig = [sign_of(c, tol * max(1.0, scale)) for c in coeffs]
+    sig = [sign_of(c) for c in coeffs]
     n_zero = 0
     while sig and sig[-1] == 0:
         sig.pop()
@@ -176,36 +148,27 @@ def real_rooted_signs(coeffs: Sequence[Scalar], tol: float = DEFAULT_TOL) -> tup
     return (n_pos, n_neg, n_zero)
 
 
-def symmetric_signature(gram: Sequence[Sequence[Scalar]],
-                        tol: float = DEFAULT_TOL) -> tuple[int, int, int]:
-    """Sylvester signature (n+, n-, n0) of a small symmetric matrix.
+def symmetric_signature(gram: Sequence[Sequence[Scalar]]) -> tuple[int, int, int]:
+    """Sylvester signature (n+, n-, n0) of a 2x2 or 3x3 symmetric matrix.
 
-    Exact route: characteristic polynomial + Descartes (all roots real).
-    Float route: numpy eigenvalues with tol banding.
+    The matrix is scaled to ints by the common denominator of its entries (a
+    positive scale keeps the signs); its characteristic polynomial has only
+    real roots, which Descartes' rule counts exactly.
     """
     n = len(gram)
-    flat = [gram[i][j] for i in range(n) for j in range(n)]
-    if not is_exact(*flat):
-        eig = np.linalg.eigvalsh(np.array([[float(v) for v in r] for r in gram]))
-        scale = max(1.0, float(np.max(np.abs(eig))) if len(eig) else 1.0)
-        n_pos = int(np.sum(eig > tol * scale))
-        n_neg = int(np.sum(eig < -tol * scale))
-        return (n_pos, n_neg, n - n_pos - n_neg)
     if n == 2:
-        a, b = Fraction(gram[0][0]), Fraction(gram[0][1])
-        c = Fraction(gram[1][1])
+        a, b, c = _clear_denominators((gram[0][0], gram[0][1], gram[1][1]))
         # char poly x^2 - (a+c) x + (ac - b^2)
-        return real_rooted_signs([Fraction(1), -(a + c), a * c - b * b])
+        return real_rooted_signs([1, -(a + c), a * c - b * b])
     if n == 3:
-        g = [[Fraction(gram[i][j]) for j in range(3)] for i in range(3)]
-        tr = g[0][0] + g[1][1] + g[2][2]
-        minors = (g[0][0] * g[1][1] - g[0][1] ** 2
-                  + g[0][0] * g[2][2] - g[0][2] ** 2
-                  + g[1][1] * g[2][2] - g[1][2] ** 2)
-        det = (g[0][0] * (g[1][1] * g[2][2] - g[1][2] ** 2)
-               - g[0][1] * (g[0][1] * g[2][2] - g[1][2] * g[0][2])
-               + g[0][2] * (g[0][1] * g[1][2] - g[1][1] * g[0][2]))
-        return real_rooted_signs([Fraction(1), -tr, minors, -det])
+        # [[a, b, c], [b, d, e], [c, e, f]]
+        a, b, c, d, e, f = _clear_denominators(
+            (gram[0][0], gram[0][1], gram[0][2],
+             gram[1][1], gram[1][2], gram[2][2]))
+        tr = a + d + f
+        minors = a * d - b * b + a * f - c * c + d * f - e * e
+        det = a * (d * f - e * e) - b * (b * f - e * c) + c * (b * e - d * c)
+        return real_rooted_signs([1, -tr, minors, -det])
     raise ValueError(f"unsupported dimension {n}")
 
 

@@ -7,20 +7,20 @@ A form is stored by the six entries of its symmetric Gram matrix
          [a13, a23, a33]],        q(v) = v A v^T,
 
 so the xy / xz / yz *polynomial* coefficients are twice the stored entries.
-All operations accept exact rationals (int / Fraction) or floats and keep
-exactness whenever the inputs allow it.
+Every operation is exact over the rationals: signatures, radicals, pencils,
+scalings and affine images are computed on ints and Fractions, and a float
+input is taken at its exact binary value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Sequence
 
-import numpy as np
-
-from .linalg import (DEFAULT_TOL, Scalar, cross, is_exact, nullspace,
-                     sign_of, solve, symmetric_signature)
+from .linalg import (Scalar, cross, nullspace, sign_of, solve,
+                     symmetric_signature)
 
 Vec3 = tuple[Scalar, Scalar, Scalar]
 
@@ -69,11 +69,8 @@ class QForm3:
     def plus(self, other: "QForm3") -> "QForm3":
         return QForm3(*(a + b for a, b in zip(self.coeffs(), other.coeffs())))
 
-    def is_zero(self, tol: float = DEFAULT_TOL) -> bool:
-        return all(sign_of(c, tol) == 0 for c in self.coeffs())
-
-    def exact(self) -> bool:
-        return is_exact(*self.coeffs())
+    def is_zero(self) -> bool:
+        return not any(self.coeffs())
 
 
 def from_coeff_vector(v: Sequence[Scalar]) -> QForm3:
@@ -83,9 +80,7 @@ def from_coeff_vector(v: Sequence[Scalar]) -> QForm3:
 
 def from_poly(A: Scalar, B: Scalar, C: Scalar, D: Scalar, E: Scalar, F: Scalar) -> QForm3:
     """Form of the polynomial A x² + B xy + C y² + D x + E y + F."""
-    return QForm3(A, C, F, Fraction(B, 2) if is_exact(B) else B / 2,
-                  Fraction(D, 2) if is_exact(D) else D / 2,
-                  Fraction(E, 2) if is_exact(E) else E / 2)
+    return QForm3(A, C, F, Fraction(B) / 2, Fraction(D) / 2, Fraction(E) / 2)
 
 
 def combine(pairs: Iterable[tuple[Scalar, QForm3]]) -> QForm3:
@@ -96,29 +91,29 @@ def combine(pairs: Iterable[tuple[Scalar, QForm3]]) -> QForm3:
     return QForm3(*acc)
 
 
-def signature(q: QForm3, tol: float = DEFAULT_TOL) -> tuple[int, int, int]:
+def signature(q: QForm3) -> tuple[int, int, int]:
     """(n+, n-, n0) of q on 3-space."""
-    return symmetric_signature(q.gram(), tol)
+    return symmetric_signature(q.gram())
 
 
-def signature_restriction(q: QForm3, tol: float = DEFAULT_TOL) -> tuple[int, int, int]:
+def signature_restriction(q: QForm3) -> tuple[int, int, int]:
     """(n+, n-, n0) of q̲ on the direction plane."""
-    return symmetric_signature(q.gram_restriction(), tol)
+    return symmetric_signature(q.gram_restriction())
 
 
-def radical(q: QForm3, tol: float = DEFAULT_TOL) -> list[Vec3]:
+def radical(q: QForm3) -> list[Vec3]:
     """Basis of rad(q) = {v : q(v, w) = 0 for all w}; dimension equals n0."""
-    if q.is_zero(tol):
+    if q.is_zero():
         return [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    return [tuple(v) for v in nullspace(q.gram(), 3, tol)]
+    return nullspace(q.gram(), 3)
 
 
 def _evaluation_row(v: Vec3) -> tuple[Scalar, ...]:
-    x, y, z = v
+    x, y, z = (Fraction(c) for c in v)
     return (x * x, y * y, z * z, 2 * x * y, 2 * x * z, 2 * y * z)
 
 
-def forms_vanishing_on(points: Sequence[Vec3], tol: float = DEFAULT_TOL) -> list[QForm3]:
+def forms_vanishing_on(points: Sequence[Vec3]) -> list[QForm3]:
     """Basis of the space of forms vanishing on the given lifted points.
 
     For ≤5 points in general position the dimension is exactly 6 - n;
@@ -128,7 +123,7 @@ def forms_vanishing_on(points: Sequence[Vec3], tol: float = DEFAULT_TOL) -> list
     if len(points) > 5:
         raise ValueError("at most 5 point constraints are supported")
     rows = [_evaluation_row(v) for v in points]
-    return [from_coeff_vector(v) for v in nullspace(rows, 6, tol)]
+    return [from_coeff_vector(v) for v in nullspace(rows, 6)]
 
 
 def _line_through(u: Vec3, v: Vec3) -> Vec3:
@@ -140,7 +135,7 @@ def _line_through(u: Vec3, v: Vec3) -> Vec3:
 
 def _product_form(n: Vec3, m: Vec3) -> QForm3:
     """The quadratic form (n·x)(m·x)."""
-    half = Fraction(1, 2) if is_exact(n, m) else 0.5
+    half = Fraction(1, 2)
     return QForm3(n[0] * m[0], n[1] * m[1], n[2] * m[2],
                   half * (n[0] * m[1] + n[1] * m[0]),
                   half * (n[0] * m[2] + n[2] * m[0]),
@@ -179,7 +174,7 @@ def natural_basis(Z: Sequence[Sequence[Scalar]]) -> NaturalBasis:
     """
     if len(Z) != 3:
         raise ValueError("natural_basis expects exactly 3 points")
-    pts = [tuple(p) for p in Z]
+    pts = [(Fraction(x), Fraction(y)) for x, y in Z]
     orient = sign_of(cross(pts[0], pts[1], pts[2]))
     if orient == 0:
         raise CollinearTripleError(f"collinear triple {pts}")
@@ -191,8 +186,6 @@ def natural_basis(Z: Sequence[Sequence[Scalar]]) -> NaturalBasis:
         n = _line_through(lifts[i], lifts[j])
         c = n[0] * lifts[k][0] + n[1] * lifts[k][1] + n[2] * lifts[k][2]
         # c != 0 because the triple is noncollinear
-        if is_exact(n, c):
-            return tuple(Fraction(v, 1) / c for v in n)
         return tuple(v / c for v in n)
 
     ds = []
@@ -210,7 +203,7 @@ def degenerate_members(F: Sequence[Sequence[Scalar]]) -> list[QForm3]:
     """
     if len(F) != 4:
         raise ValueError("expected 4 points")
-    pts = [tuple(p) for p in F]
+    pts = [(Fraction(x), Fraction(y)) for x, y in F]
     for i in range(4):
         others = [pts[j] for j in range(4) if j != i]
         if sign_of(cross(*others)) == 0:
@@ -224,56 +217,53 @@ def degenerate_members(F: Sequence[Sequence[Scalar]]) -> list[QForm3]:
     return out
 
 
-def pencil_coefficients(q: QForm3, basis: NaturalBasis,
-                        tol: float = DEFAULT_TOL) -> tuple[Scalar, Scalar, Scalar]:
+def pencil_coefficients(q: QForm3, basis: NaturalBasis) -> tuple[Scalar, Scalar, Scalar]:
     """Write q = sum c_i d_i in the natural basis of a pencil.
 
     Raises ValueError if q is not in the span of the basis.
     """
     cols = [d.coeffs() for d in basis.forms]
     target = q.coeffs()
-    exact = is_exact(*target) and all(is_exact(*c) for c in cols)
-    c = None
-    if exact:
-        from itertools import combinations
-        for rows in combinations(range(6), 3):
-            mat = [[cols[j][i] for j in range(3)] for i in rows]
-            try:
-                c = solve(mat, [target[i] for i in rows])
-            except ZeroDivisionError:
-                continue
-            break
+    for rows in combinations(range(6), 3):
+        mat = [[cols[j][i] for j in range(3)] for i in rows]
+        try:
+            c = solve(mat, [target[i] for i in rows])
+        except ZeroDivisionError:
+            continue
+        break
     else:
-        A = np.array([[float(cols[j][i]) for j in range(3)] for i in range(6)])
-        c = list(np.linalg.lstsq(A, np.array([float(v) for v in target]),
-                                 rcond=None)[0])
-    if c is None:
         raise ValueError("pencil basis is degenerate")
-    residual = combine([(ci, di) for ci, di in zip(c, basis.forms)]).plus(q.scaled(-1))
-    scale = max(1.0, max(abs(float(v)) for v in target))
-    if any(sign_of(r, tol * scale) != 0 for r in residual.coeffs()):
+    if combine(zip(c, basis.forms)).coeffs() != target:
         raise ValueError("form is not in the pencil of the triple")
-    return (c[0], c[1], c[2])
+    return c
 
 
-def canonical_scale(q: QForm3, tol: float = DEFAULT_TOL) -> QForm3:
+def canonical_scale(q: QForm3) -> QForm3:
     """Deterministic representative of the positive-scaling class of q.
 
     Leading nonzero coefficient (in field order) becomes ±1, with the sign
     chosen so the form is negative somewhere whenever possible: a positive
     semidefinite normalization is flipped.
     """
-    lead = next((c for c in q.coeffs() if sign_of(c, tol) != 0), None)
+    lead = next((c for c in q.coeffs() if c != 0), None)
     if lead is None:
         return q
-    if is_exact(lead):
-        scaled = q.scaled(Fraction(1, 1) / Fraction(lead))
-    else:
-        scaled = q.scaled(1.0 / lead)
-    n_pos, n_neg, _ = signature(scaled, tol)
+    lead = Fraction(lead)
+    scaled = QForm3(*(Fraction(c) / lead for c in q.coeffs()))
+    n_pos, n_neg, _ = signature(scaled)
     if n_neg == 0 and n_pos > 0:
         scaled = scaled.scaled(-1)
     return scaled
+
+
+def ellipse_center(q: QForm3) -> tuple[Fraction, Fraction]:
+    """Centre of the conic of q: the solution c of q̲ c = -(a13, a23).
+
+    Raises ZeroDivisionError when q̲ is singular (no unique centre).
+    """
+    a, b, c, d, e = (Fraction(v) for v in (q.a11, q.a12, q.a22, q.a13, q.a23))
+    det = a * c - b * b
+    return ((b * e - c * d) / det, (b * d - a * e) / det)
 
 
 def transform_by_affine(q: QForm3, g, tau) -> QForm3:
@@ -281,12 +271,12 @@ def transform_by_affine(q: QForm3, g, tau) -> QForm3:
 
     g is a 2x2 invertible matrix (rows), tau a 2-vector. Exact over rationals.
     """
-    (a, b), (c, d) = g
+    (a, b), (c, d) = ((Fraction(x) for x in row) for row in g)
+    tau = (Fraction(tau[0]), Fraction(tau[1]))
     det = a * d - b * c
-    if sign_of(det) == 0:
+    if det == 0:
         raise ValueError("singular linear part")
-    one = Fraction(1) if is_exact(a, b, c, d, list(tau)) else 1.0
-    inv = ((one * d / det, -one * b / det), (-one * c / det, one * a / det))
+    inv = ((d / det, -b / det), (-c / det, a / det))
     # lifted inverse M sends x̂ to (g^{-1}(x - tau), 1); new Gram is M^T A M
     m = ((inv[0][0], inv[0][1], -(inv[0][0] * tau[0] + inv[0][1] * tau[1])),
          (inv[1][0], inv[1][1], -(inv[1][0] * tau[0] + inv[1][1] * tau[1])),

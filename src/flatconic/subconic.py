@@ -13,21 +13,19 @@ plane z = 0) decides the shape of U_q among the cases we track:
     (2,1) & (1,0)  parabola interior
 
 everything else is lumped into OTHER (empty regions, line complements,
-hyperbola sides, the whole plane, ...).
+hyperbola sides, the whole plane, ...). Both signatures are exact, so the
+classification is too; a float coefficient is taken at its exact binary
+value.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
-from .linalg import (DEFAULT_TOL, Scalar, common_denominator, is_exact,
-                     nullspace, primitive, sign_of)
+from .linalg import Scalar, common_denominator, nullspace, primitive, sign_of
 from .quadform import (QForm3, canonical_scale, forms_vanishing_on, lift,
                        signature, signature_restriction)
 
@@ -53,7 +51,6 @@ class Classification:
     kind: SubconicKind
     signature: tuple[int, int, int]
     signature_restriction: tuple[int, int, int]
-    near_degenerate: bool
 
 
 @dataclass(frozen=True)
@@ -66,46 +63,29 @@ class Subconic:
         return contains(self.form, point) < 0
 
 
-def _float_margin(mat: Sequence[Sequence[Scalar]]) -> float:
-    eig = np.linalg.eigvalsh(np.array([[float(v) for v in row] for row in mat]))
-    scale = max(1.0, float(np.max(np.abs(eig))))
-    return float(np.min(np.abs(eig))) / scale
-
-
-def classify(q: QForm3, tol: float = DEFAULT_TOL) -> Classification:
-    """Classify U_q from the two signatures.
-
-    Exact inputs classify exactly. Float inputs whose Gram spectra come
-    within 10*tol of a sign change are flagged near_degenerate (the verdict
-    is still returned, but should not be trusted blindly).
-    """
-    sig3 = signature(q, tol)
-    sig2 = signature_restriction(q, tol)
-    near = False
-    if not q.exact():
-        near = (_float_margin(q.gram()) < 10 * tol
-                or _float_margin(q.gram_restriction()) < 10 * tol)
+def classify(q: QForm3) -> Classification:
+    """Classify U_q from the two signatures."""
+    sig3 = signature(q)
+    sig2 = signature_restriction(q)
     kind = _KIND_TABLE.get((sig3[:2], sig2[:2]), SubconicKind.OTHER)
-    return Classification(kind, sig3, sig2, near)
+    return Classification(kind, sig3, sig2)
 
 
-def subconic(q: QForm3, tol: float = DEFAULT_TOL) -> Subconic:
-    return Subconic(q, classify(q, tol).kind)
+def subconic(q: QForm3) -> Subconic:
+    return Subconic(q, classify(q).kind)
 
 
-def contains(q: QForm3 | Subconic, point: Sequence[Scalar],
-             tol: float = DEFAULT_TOL) -> int:
+def contains(q: QForm3 | Subconic, point: Sequence[Scalar]) -> int:
     """Side of a planar point: -1 inside U_q, 0 on the boundary, +1 outside."""
     form = q.form if isinstance(q, Subconic) else q
-    return sign_of(form(lift(point)), tol)
+    return sign_of(form(lift((Fraction(point[0]), Fraction(point[1])))))
 
 
 class DegenerateConfiguration(ValueError):
     pass
 
 
-def conic_through_five(points: Sequence[Sequence[Scalar]],
-                       tol: float = DEFAULT_TOL) -> Subconic:
+def conic_through_five(points: Sequence[Sequence[Scalar]]) -> Subconic:
     """The unique conic through five points, canonically scaled and classified.
 
     Raises DegenerateConfiguration when the solution space is not a line
@@ -115,38 +95,31 @@ def conic_through_five(points: Sequence[Sequence[Scalar]],
     """
     if len(points) != 5:
         raise ValueError("need exactly 5 points")
-    space = forms_vanishing_on([lift(p) for p in points], tol)
+    space = forms_vanishing_on([lift(p) for p in points])
     if len(space) != 1:
         raise DegenerateConfiguration(
             f"conic through {points} is not unique (solution dim {len(space)})")
-    return subconic(canonical_scale(space[0], tol), tol)
+    return subconic(canonical_scale(space[0]))
 
 
-def strip_direction(q: QForm3, tol: float = DEFAULT_TOL) -> tuple[Scalar, Scalar]:
+def strip_direction(q: QForm3) -> tuple[int, int]:
     """Direction of the boundary lines of a strip (kernel of q̲), canonical sign.
 
-    Exact rational strips give a primitive integer vector; float strips a
-    unit vector. Sign convention: second coordinate positive, or first
+    A primitive integer vector with second coordinate positive, or first
     positive when the direction is horizontal.
     """
-    ker = nullspace(q.gram_restriction(), 2, tol)
+    ker = nullspace(q.gram_restriction(), 2)
     if len(ker) != 1:
         raise ValueError("form is not a strip (direction kernel is not a line)")
     u, v = ker[0]
-    if is_exact(u, v):
-        den = common_denominator((u, v))
-        p, r = primitive(int(Fraction(u) * den), int(Fraction(v) * den))
-        if r < 0 or (r == 0 and p < 0):
-            p, r = -p, -r
-        return (p, r)
-    norm = math.hypot(float(u), float(v))
-    p, r = float(u) / norm, float(v) / norm
-    if r < -tol or (abs(r) <= tol and p < 0):
+    den = common_denominator((u, v))
+    p, r = primitive(int(u * den), int(v * den))
+    if r < 0 or (r == 0 and p < 0):
         p, r = -p, -r
     return (p, r)
 
 
-def is_nowhere_negative(q: QForm3, tol: float = DEFAULT_TOL) -> bool:
+def is_nowhere_negative(q: QForm3) -> bool:
     """True iff q >= 0 on all of 3-space, i.e. U_q is certainly empty."""
-    n_pos, n_neg, n_zero = signature(q, tol)
+    n_pos, n_neg, n_zero = signature(q)
     return n_neg == 0

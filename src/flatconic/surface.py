@@ -28,9 +28,9 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .linalg import (DEFAULT_TOL, Scalar, common_denominator, cross, dot2,
-                     fraction_str, primitive, scaled_int, sign_of, solve)
-from .quadform import QForm3, lift
+from .linalg import (Scalar, common_denominator, cross, dot2, fraction_str,
+                     primitive, scaled_int, sign_of)
+from .quadform import QForm3, ellipse_center, lift
 from .subconic import Subconic, SubconicKind, classify
 
 Point = tuple[Scalar, Scalar]
@@ -595,34 +595,32 @@ class Fit(enum.Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-def ray_meets_sublevel(q: QForm3, base: Point, through: Point,
-                       tol: float = DEFAULT_TOL) -> bool:
+def ray_meets_sublevel(q: QForm3, base: Point, through: Point) -> bool:
     """Does {q <= 0} meet the open ray from `base` through `through`, strictly
     beyond `through`? Exact quadratic case analysis in the ray parameter."""
     d = _sub(through, base)
     alpha = q((d[0], d[1], 0))
     beta = 2 * q.pair(lift(base), (d[0], d[1], 0))
     gamma = q(lift(base))
-    sa = sign_of(alpha, tol)
+    sa = sign_of(alpha)
     if sa < 0:
         return True
     if sa > 0:
         tstar_num, tstar_den = -beta, 2 * alpha  # t* = -beta / 2 alpha
-        if sign_of(tstar_num - tstar_den, tol) > 0:  # t* > 1
-            return sign_of(4 * alpha * gamma - beta * beta, tol) <= 0
-        return sign_of(alpha + beta + gamma, tol) < 0  # g(1) < 0
-    sb = sign_of(beta, tol)
+        if tstar_num > tstar_den:  # t* > 1
+            return 4 * alpha * gamma - beta * beta <= 0
+        return alpha + beta + gamma < 0  # g(1) < 0
+    sb = sign_of(beta)
     if sb < 0:
         return True
     if sb > 0:
-        return sign_of(beta + gamma, tol) < 0
-    return sign_of(gamma, tol) <= 0
+        return beta + gamma < 0
+    return gamma <= 0
 
 
 def _ellipse_center_and_major(q: QForm3):
     A = q.gram_restriction()
-    c = solve([[A[0][0], A[0][1]], [A[1][0], A[1][1]]], [-q.a13, -q.a23])
-    center = (c[0], c[1])
+    center = ellipse_center(q)
     kappa = -q(lift(center))
     eig = np.linalg.eigvalsh(np.array([[float(A[0][0]), float(A[0][1])],
                                        [float(A[0][1]), float(A[1][1])]]))
@@ -630,7 +628,7 @@ def _ellipse_center_and_major(q: QForm3):
     return center, major
 
 
-def subconic_fits(chart: Chart, U, tol: float = DEFAULT_TOL) -> Fit:
+def subconic_fits(chart: Chart, U) -> Fit:
     """Certify that a subconic develops injectively: closed region inside the
     chart's visibility region, open region free of cone points.
 
@@ -640,12 +638,12 @@ def subconic_fits(chart: Chart, U, tol: float = DEFAULT_TOL) -> Fit:
     lies strictly inside, INCONCLUSIVE otherwise.
     """
     form = U.form if isinstance(U, Subconic) else U
-    kind = U.kind if isinstance(U, Subconic) else classify(form, tol).kind
+    kind = U.kind if isinstance(U, Subconic) else classify(form).kind
     if kind not in (SubconicKind.ELLIPSE_INTERIOR, SubconicKind.STRIP):
         raise ValueError(f"fits is defined for ellipses and strips, not {kind}")
     if kind is SubconicKind.STRIP:
         for p in chart.points:
-            if sign_of(form(lift(p.position)), tol) < 0:
+            if form(lift(p.position)) < 0:
                 return Fit.NO
         return Fit.INCONCLUSIVE
     center, major = _ellipse_center_and_major(form)
@@ -653,9 +651,9 @@ def subconic_fits(chart: Chart, U, tol: float = DEFAULT_TOL) -> Fit:
     if reach >= float(chart.radius) * (1 - 1e-12):
         return Fit.INCONCLUSIVE
     for p in chart.points:
-        if sign_of(form(lift(p.position)), tol) < 0:
+        if form(lift(p.position)) < 0:
             return Fit.NO
     for p in chart.points:
-        if ray_meets_sublevel(form, chart.base, p.position, tol):
+        if ray_meets_sublevel(form, chart.base, p.position):
             return Fit.NO
     return Fit.YES

@@ -15,7 +15,6 @@ from .cellcomplex import (CellComplexWindow, CellMatching, _face_id,
                           frontier_bijection, matching_from_affine,
                           rigid_conics)
 from .geom import class_key, h_point, homothety_class
-from .linalg import DEFAULT_TOL
 from .quadform import canonical_scale, transform_by_affine
 from .surface import Chart, SurfaceDesc, develop, dist2
 
@@ -60,7 +59,7 @@ def _factor_homothety(g_raw):
     return ((a / h, b / h), (c / h, d / h)), h
 
 
-def psi_of_quadruple(Z, Zp, tol: float = DEFAULT_TOL) -> AffineCandidate:
+def psi_of_quadruple(Z, Zp) -> AffineCandidate:
     """The unique affine map sending the first three points of Z to those of
     Zp, checked for orientation and for consistency on the fourth point.
     Exact over rationals."""
@@ -71,7 +70,7 @@ def psi_of_quadruple(Z, Zp, tol: float = DEFAULT_TOL) -> AffineCandidate:
     (x0, y0), (x1, y1), (x2, y2) = Z[0], Z[1], Z[2]
     m00, m01 = x1 - x0, x2 - x0
     m10, m11 = y1 - y0, y2 - y0
-    det = m00 * m11 - m01 * m10
+    det = Fraction(m00 * m11 - m01 * m10)   # int points still divide exactly
     if det == 0:
         raise ValueError("source triple is collinear")
     (u0, v0), (u1, v1), (u2, v2) = Zp[0], Zp[1], Zp[2]
@@ -87,9 +86,7 @@ def psi_of_quadruple(Z, Zp, tol: float = DEFAULT_TOL) -> AffineCandidate:
     x3, y3 = Z[3]
     image = (g[0][0] * x3 + g[0][1] * y3 + tau[0],
              g[1][0] * x3 + g[1][1] * y3 + tau[1])
-    err = max(abs(image[0] - Zp[3][0]), abs(image[1] - Zp[3][1]))
-    exact = all(isinstance(t, (int, Fraction)) for p in Z + Zp for t in p)
-    if (exact and err != 0) or (not exact and float(err) > tol):
+    if image != Zp[3]:
         raise ValueError(
             f"fourth point is inconsistent: {Z[3]} maps to {image}, "
             f"expected {Zp[3]}")
@@ -98,7 +95,7 @@ def psi_of_quadruple(Z, Zp, tol: float = DEFAULT_TOL) -> AffineCandidate:
 
 
 def reconstruct(A: CellComplexWindow, B: CellComplexWindow,
-                phi: CellMatching, tol: float = DEFAULT_TOL) -> AffineCandidate:
+                phi: CellMatching) -> AffineCandidate:
     """Recover the common affine map underlying a cell matching: the frontier
     bijection gives matched cone points, every matched 1-cell determines the
     map on its quadruple, and all of them must agree."""
@@ -109,7 +106,7 @@ def reconstruct(A: CellComplexWindow, B: CellComplexWindow,
         if not all(p in beta for p in q):
             continue
         try:
-            c = psi_of_quadruple(list(q), [beta[p] for p in q], tol)
+            c = psi_of_quadruple(list(q), [beta[p] for p in q])
         except ValueError as e:
             raise ValueError(f"1-cell {q} admits no affine map: {e}") from None
         if candidate is None:
@@ -123,8 +120,7 @@ def reconstruct(A: CellComplexWindow, B: CellComplexWindow,
     return candidate
 
 
-def discover_affine(A: CellComplexWindow, B: CellComplexWindow,
-                    tol: float = DEFAULT_TOL):
+def discover_affine(A: CellComplexWindow, B: CellComplexWindow):
     """Search for an affine map carrying window A onto window B.
 
     Every ordering of every B 1-cell is tried as the image of each A 1-cell;
@@ -142,7 +138,7 @@ def discover_affine(A: CellComplexWindow, B: CellComplexWindow,
         for qb in b_edges:
             for perm in permutations(qb):
                 try:
-                    cand = psi_of_quadruple(list(qa), list(perm), tol)
+                    cand = psi_of_quadruple(list(qa), list(perm))
                 except ValueError:
                     continue
                 key = (cand.linear, cand.homothety, cand.translation)
@@ -152,7 +148,7 @@ def discover_affine(A: CellComplexWindow, B: CellComplexWindow,
                 try:
                     phi = matching_from_affine(A, B, cand.matrix(),
                                                cand.translation, strict=False)
-                    rec = reconstruct(A, B, phi, tol)
+                    rec = reconstruct(A, B, phi)
                 except ValueError:
                     continue
                 certified.append((rec, phi))
@@ -214,7 +210,7 @@ def _op_norm(g) -> float:
     return float(np.linalg.norm(np.array(g, dtype=float), 2))
 
 
-def veech_check(surface: SurfaceDesc, g, radius=6, tol: float = DEFAULT_TOL,
+def veech_check(surface: SurfaceDesc, g, radius=6,
                 chart: Optional[Chart] = None,
                 conics: Optional[list] = None) -> VeechVerdict:
     """Windowed membership test for a unimodular matrix g.
@@ -260,7 +256,7 @@ def veech_check(surface: SurfaceDesc, g, radius=6, tol: float = DEFAULT_TOL,
                   key=lambda t: (t[0] * t[0] + t[1] * t[1], t))
 
     if conics is None:
-        conics = rigid_conics(chart, tol)
+        conics = rigid_conics(chart)
     # the window's homothety classes; translation-invariant, so robust
     # against the window truncating the image conic differently
     classes = {class_key(U.subconic) for U in conics}

@@ -339,7 +339,7 @@ def _ref_primitive(d) -> tuple:
     return (p, q)
 
 
-def reference_rigid_conics(chart, tol=1e-9):
+def reference_rigid_conics(chart):
     from flatconic.cellcomplex import _ellipse_rigid, _strip_form, _strip_rigid
     from flatconic.linalg import dot2
     from flatconic.subconic import SubconicKind, conic_through_five
@@ -359,12 +359,12 @@ def reference_rigid_conics(chart, tol=1e-9):
         if len(clique) == 5:
             five = [pts[i] for i in clique]
             try:
-                cand = conic_through_five(five, tol)
+                cand = conic_through_five(five)
             except ValueError:
                 return
             if cand.kind is not SubconicKind.ELLIPSE_INTERIOR:
                 return
-            rigid = _ellipse_rigid(chart, cand.form, tol)
+            rigid = _ellipse_rigid(chart, cand.form)
             if rigid is not None:
                 found.setdefault(rigid.key(), rigid)
             return
@@ -392,14 +392,13 @@ def reference_rigid_conics(chart, tol=1e-9):
         for lo, hi in zip(order, order[1:]):
             if len(levels[lo]) < 2 or len(levels[hi]) < 2:
                 continue
-            rigid = _strip_rigid(chart, _strip_form(normal, lo, hi), tol)
+            rigid = _strip_rigid(chart, _strip_form(normal, lo, hi))
             if rigid is not None:
                 found.setdefault(rigid.key(), rigid)
     return [found[k] for k in sorted(found)]
 
 
-def reference_veech_check(surface, g, radius=6, tol=1e-9, chart=None,
-                          conics=None):
+def reference_veech_check(surface, g, radius=6, chart=None, conics=None):
     from flatconic.geom import class_key
     from flatconic.quadform import transform_by_affine
     from flatconic.surface import develop, dist2
@@ -439,7 +438,7 @@ def reference_veech_check(surface, g, radius=6, tol=1e-9, chart=None,
                   key=lambda t: (t[0] * t[0] + t[1] * t[1], t))
 
     if conics is None:
-        conics = reference_rigid_conics(chart, tol)
+        conics = reference_rigid_conics(chart)
     classes = {class_key(U.subconic) for U in conics}
     safe_conics = [U for U in conics
                    if all(dist2(p, base) <= safe2 for p in U.boundary_points())]

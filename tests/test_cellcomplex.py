@@ -1,6 +1,8 @@
 """Rigid conics, two-cells, links, window complexes, and cell matchings."""
 
+import dataclasses
 import json
+import numbers
 from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
@@ -339,3 +341,30 @@ def test_integer_frame_rigid_conics_match_the_fraction_reference(case):
     assert [(u.kind, u.subconic.form, u.boundary, u.truncated) for u in got] \
         == [(u.kind, u.subconic.form, u.boundary, u.truncated) for u in ref]
     assert repr(got) == repr(ref)
+
+
+def _numbers(obj):
+    """Every number inside a result: dataclass fields, containers, dict keys
+    and values."""
+    if dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from _numbers(getattr(obj, f.name))
+    elif isinstance(obj, dict):
+        for k, v in obj.items():
+            yield from _numbers(k)
+            yield from _numbers(v)
+    elif isinstance(obj, (tuple, list, set, frozenset)):
+        for v in obj:
+            yield from _numbers(v)
+    elif isinstance(obj, numbers.Number) and not isinstance(obj, bool):
+        yield obj
+
+
+@pytest.mark.parametrize("name", ["torus_chart", "marked_chart"])
+def test_complex_and_rigid_conics_hold_only_ints_and_fractions(name, request):
+    # strips on the torus, strips and ellipses on the marked torus
+    chart = request.getfixturevalue(name)
+    window = build_complex(chart, default_seed(chart), budget=6)
+    conics = rigid_conics(chart)
+    assert conics and window.vertices
+    assert {type(x) for x in _numbers((window, conics))} <= {int, F}

@@ -134,16 +134,6 @@ def test_tessellate_disc_model(torus_file, tmp_path):
     assert svg_path.read_text().count('class="face"') == 6
 
 
-def test_bad_tolerance_env(torus_file, monkeypatch, capsys):
-    monkeypatch.setenv("FLATCONIC_TOL", "not-a-float")
-    assert main(["develop", torus_file, "--radius", "1"]) == 2
-
-
-def test_tolerance_env_is_honored(torus_file, monkeypatch, capsys):
-    monkeypatch.setenv("FLATCONIC_TOL", "1e-9")
-    assert main(["develop", torus_file, "--radius", "1"]) == 0
-
-
 STOCK = Path(__file__).resolve().parent.parent / "surfaces"
 
 # sha256 of stdout on the stock surfaces, recorded with the Fraction

@@ -38,7 +38,6 @@ def test_classification_table(q, kind, sig3, sig2):
     assert c.kind is kind
     assert c.signature == sig3
     assert c.signature_restriction == sig2
-    assert not c.near_degenerate
 
 
 def test_strip_signature_has_an_indefinite_three_by_three_part():
@@ -81,10 +80,19 @@ def test_bounded_regions_are_exactly_the_ellipse_interiors(coeffs):
         assert not oracles.region_is_bounded([float(v) for v in coeffs])
 
 
-def test_near_degenerate_flag_only_for_floats():
-    wobbly = from_poly(1.0, 0.0, 1.0, 0.0, 0.0, -1e-12)
-    assert classify(wobbly).near_degenerate
-    assert not classify(DISC).near_degenerate
+@settings(max_examples=80, deadline=None)
+@given(st.tuples(*[st.floats(min_value=-4, max_value=4)] * 6))
+@example((1.0, 0.0, 1.0, 0.0, 0.0, -1e-12))
+@example((0.1, 0.2, 0.1, 0.0, 0.0, -1.0))
+def test_float_coefficients_classify_like_their_exact_twins(coeffs):
+    # a float is taken at its exact binary value: no tolerance band
+    twin = from_poly(*(F(v) for v in coeffs))
+    assert classify(from_poly(*coeffs)) == classify(twin)
+
+
+def test_a_tiny_float_radius_is_still_an_ellipse():
+    tiny = from_poly(1.0, 0, 1.0, 0, 0, -1e-12)
+    assert classify(tiny).kind is SubconicKind.ELLIPSE_INTERIOR
 
 
 def test_contains_reports_sides():

@@ -42,6 +42,10 @@ def test_psi_recovers_an_affine_map_exactly():
     assert cand.linear == ((F(2), F(1)), (F(1), F(1)))
     assert cand.homothety == 1
     assert cand.translation == (F(1, 3), F(-2))
+    sheared = psi_of_quadruple(QUAD, [apply(T, (0, 0), p) for p in QUAD])
+    assert sheared.linear == T
+    assert {type(x) for x in (*sheared.linear[0], *sheared.linear[1],
+                              sheared.homothety, *sheared.translation)} == {F}
 
 
 def test_psi_factors_out_the_homothety():
