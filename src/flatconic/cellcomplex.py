@@ -488,25 +488,9 @@ def realizable_triple(chart: Chart, Z) -> bool:
         return False
 
 
-def realizable_quadruple(chart: Chart, Z4,
-                         within: Optional[RigidConic] = None) -> bool:
+def realizable_quadruple(chart: Chart, Z4) -> bool:
     """Feasibility route: the pencil through the 4 points cuts the feasible
-    region in a nondegenerate segment with an ellipse interior sample.
-
-    With `within` supplied, the combinatorial criterion (partition into two
-    successor-adjacent pairs) is computed as well and must agree.
-    """
-    feas = _quadruple_feasible(chart, Z4)
-    if within is not None:
-        comb = combinatorial_quadruple(within, Z4)
-        if comb != feas:
-            raise ValueError(
-                f"combinatorial ({comb}) and feasibility ({feas}) criteria "
-                f"disagree on {tuple(Z4)}")
-    return feas
-
-
-def _quadruple_feasible(chart: Chart, Z4) -> bool:
+    region in a nondegenerate segment with an ellipse interior sample."""
     Z4 = [tuple(p) for p in Z4]
     if len(set(Z4)) != 4:
         return False
@@ -530,15 +514,6 @@ def _quadruple_feasible(chart: Chart, Z4) -> bool:
         kind = classify(_form_at(region.basis, mid[0], mid[1])).kind
         return kind is SubconicKind.ELLIPSE_INTERIOR
     return False
-
-
-def combinatorial_quadruple(U: RigidConic, Z4) -> bool:
-    """Partition criterion: two disjoint successor-adjacent pairs inside the
-    boundary of U (for strips, one pair per boundary line)."""
-    pts = set(tuple(p) for p in Z4)
-    if len(pts) != 4 or not pts <= set(U.boundary_points()):
-        return False
-    return bool(_anchor_reps(U, pts))
 
 
 def _anchor_reps(U: RigidConic, quad: set) -> list:
@@ -612,9 +587,6 @@ class Link:
     conic: RigidConic
     vertices: tuple          # sorted quadruple keys
     edges: tuple             # (from_key, to_key): second follows first
-
-    def out_neighbors(self, v):
-        return [b for a, b in self.edges if a == v]
 
     def undirected_degree(self, v) -> int:
         return sum(1 for a, b in self.edges if a == v or b == v)
@@ -766,15 +738,15 @@ def _apply_affine(g, tau, p):
 
 
 def matching_from_affine(A: CellComplexWindow, B: CellComplexWindow,
-                         g, tau=(0, 0), strict: bool = True) -> CellMatching:
-    """The matching induced by z -> g z + tau on every cell of A.
+                         g, tau=(0, 0)) -> CellMatching:
+    """The matching induced by z -> g z + tau on the cells of A that land
+    in B.
 
-    Faces and edges are matched by image position keys. Vertices are matched
-    by their transformed forms (canonically rescaled), because the windowed
+    Faces and edges are matched by image position keys; those whose image
+    lies outside B's window are left unmatched. Vertices are matched by
+    their transformed forms (canonically rescaled), because the windowed
     boundary of a truncated conic depends on the window shape and two charts
-    rarely clip it identically. With strict=True every face/edge must land
-    in B; vertices whose image conic was not explored are only an error when
-    the source is untruncated.
+    rarely clip it identically. Raises when no face or no edge matches.
     """
     def image_key(key):
         return _pos_key([_apply_affine(g, tau, p) for p in key])
@@ -784,14 +756,10 @@ def matching_from_affine(A: CellComplexWindow, B: CellComplexWindow,
         ik = image_key(key)
         if ik in B.cells:
             faces[key] = ik
-        elif strict:
-            raise ValueError(f"face {key} has no image cell in B")
     for key in A.edges:
         ik = image_key(key)
         if ik in B.edges:
             edges[key] = ik
-        elif strict:
-            raise ValueError(f"edge {key} has no image edge in B")
     if not faces or not edges:
         raise ValueError("affine map matches no cells between the windows")
     by_form = {canonical_scale(U.subconic.form).coeffs(): key
@@ -801,8 +769,6 @@ def matching_from_affine(A: CellComplexWindow, B: CellComplexWindow,
         ik = by_form.get(canonical_scale(q2).coeffs())
         if ik is not None:
             vertices[key] = ik
-        elif strict and not U.truncated:
-            raise ValueError(f"vertex {key} has no image vertex in B")
     return CellMatching(faces, edges, vertices)
 
 

@@ -120,8 +120,13 @@ def cmd_rebuild(args) -> int:
     B = build_complex(chart_b, default_seed(chart_b),
                       budget=args.target_budget or args.budget)
     rec, phi = discover_affine(A, B)
-    print(_fmt_matrix(rec.linear))
-    print(f"homothety: {fraction_str(rec.homothety)}")
+    if rec.homothety is None:   # irrational: g / sqrt(det g)
+        root = f"sqrt({fraction_str(rec.det)})"
+        print(f"{_fmt_matrix(rec.g)}/{root}")
+        print(f"homothety: {root}")
+    else:
+        print(_fmt_matrix(rec.linear))
+        print(f"homothety: {fraction_str(rec.homothety)}")
     print(f"translation: ({fraction_str(rec.translation[0])},"
           f"{fraction_str(rec.translation[1])})")
     print(f"matched: {len(phi.faces)} faces, {len(phi.edges)} edges, "

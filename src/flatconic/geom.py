@@ -16,7 +16,6 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 import numpy as np
-import scipy.linalg
 
 from .quadform import QForm3
 from .subconic import (_KIND_TABLE, Subconic, SubconicKind, classify,
@@ -123,8 +122,11 @@ def quadruple_form(qbar, Q: Sequence, tol: float = ANGLE_TOL) -> QuadrupleForm:
     u = np.array([_q_pair(A, (1, 0), v01), _q_pair(A, (0, 1), v01)])
     w = np.array([_q_pair(A, (1, 0), v23), _q_pair(A, (0, 1), v23)])
     M = -(np.outer(u, w) + np.outer(w, u)) / 2
-    # eigenlines of q_Q relative to qbar (ascending eigenvalues)
-    vals, vecs = scipy.linalg.eigh(M, A)
+    # eigenlines of q_Q relative to qbar (ascending eigenvalues): with
+    # A = L^T L, M v = lam A v iff (L^-T M L^-1)(L v) = lam (L v)
+    Linv = np.linalg.inv(_chol(A))
+    _, U = np.linalg.eigh(Linv.T @ M @ Linv)
+    vecs = Linv @ U
     neg = tuple(vecs[:, 0])
     pos = tuple(vecs[:, 1])
     u_Q = _apply(q_rotation(qbar, sum(angles) / 4), x0)

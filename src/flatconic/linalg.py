@@ -172,10 +172,6 @@ def symmetric_signature(gram: Sequence[Sequence[Scalar]]) -> tuple[int, int, int
     raise ValueError(f"unsupported dimension {n}")
 
 
-def det2(a: Scalar, b: Scalar, c: Scalar, d: Scalar) -> Scalar:
-    return a * d - b * c
-
-
 def cross(o, a, b) -> Scalar:
     """z-component of (a-o) x (b-o); the standard orientation predicate."""
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])

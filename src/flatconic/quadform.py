@@ -66,9 +66,6 @@ class QForm3:
     def scaled(self, c: Scalar) -> "QForm3":
         return QForm3(*(c * v for v in self.coeffs()))
 
-    def plus(self, other: "QForm3") -> "QForm3":
-        return QForm3(*(a + b for a, b in zip(self.coeffs(), other.coeffs())))
-
     def is_zero(self) -> bool:
         return not any(self.coeffs())
 

@@ -6,8 +6,11 @@ plane, keeps the cone-point images within a radius window, and filters them
 down to the star-convex visibility region (a cone point blocks the open ray
 strictly beyond itself).
 
-Parsing is exact over Fraction: every file number becomes a Fraction, and
-polygons, gluings and the returned charts hold Fractions. The unfolding
+Everything here is exact. Parsing makes every file number a Fraction, and
+polygons, gluings and the returned charts hold Fractions. Cone angles are
+counted on directions by exact orientation tests, and the immersion
+certificate `subconic_fits` decides its window bound by squaring out the
+square roots. The unfolding
 (`develop`, `locate`, and so `rebase`) runs in a per-call integer frame:
 coordinates are scaled by the least common denominator of the vertices and
 the base point (or the located position) and translated to that point, so
@@ -26,12 +29,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
-from .linalg import (Scalar, common_denominator, cross, dot2, fraction_str,
+from .linalg import (Scalar, common_denominator, cross, fraction_str,
                      primitive, scaled_int, sign_of)
 from .quadform import QForm3, ellipse_center, lift
-from .subconic import Subconic, SubconicKind, classify
 
 Point = tuple[Scalar, Scalar]
 
@@ -96,11 +96,20 @@ class SurfaceDesc:
         return validate_surface(polys, self.gluings)
 
 
-def _interior_angle(u: Point, w: Point) -> float:
-    # angle between incoming edge u and outgoing edge w, measured inside a
-    # counterclockwise polygon; reflex corners give values above pi
-    turn = math.atan2(float(cross((0, 0), u, w)), float(dot2(u, w)))
-    return math.pi - turn
+def _passes_east(start: Point, end: Point) -> bool:
+    """Does the counterclockwise sweep from direction `start` to direction
+    `end` reach the +x direction, `end` included and `start` not?
+
+    That is, angle(end) < angle(start) for angles in [0, 2pi), compared
+    exactly: first by half-plane (the lower one holds angles in [pi, 2pi)),
+    then within a half-plane by the sign of the cross product.
+    """
+    def lower(v):
+        return v[1] < 0 or (v[1] == 0 and v[0] < 0)
+
+    if lower(start) != lower(end):
+        return lower(start)
+    return cross((0, 0), end, start) > 0
 
 
 def validate_surface(polygons, gluings_pairs) -> SurfaceDesc:
@@ -159,7 +168,11 @@ def validate_surface(polygons, gluings_pairs) -> SurfaceDesc:
                 raise SurfaceError(f"edge ({pid}, {e}) is unglued")
 
     # corner cycles: crossing the outgoing edge e of corner (p, e) lands on
-    # the corner after the matched edge
+    # the corner after the matched edge. A corner's interior is the
+    # counterclockwise sweep from its outgoing edge to its reversed incoming
+    # edge, and each corner's sweep ends where the next one in the cycle
+    # starts; so the sweeps tile k full turns, and exactly k of them pass the
+    # +x direction.
     cone_class: dict = {}
     cone_angles: dict = {}
     corners = [(pid, i) for pid, verts in polys for i in range(len(verts))]
@@ -169,7 +182,7 @@ def validate_surface(polygons, gluings_pairs) -> SurfaceDesc:
             continue
         name = f"c{label}"
         label += 1
-        angle = 0.0
+        k = 0
         cur = start
         while True:
             cone_class[cur] = name
@@ -178,17 +191,12 @@ def validate_surface(polygons, gluings_pairs) -> SurfaceDesc:
             n = len(verts)
             incoming = _sub(verts[i], verts[(i - 1) % n])
             outgoing = _sub(verts[(i + 1) % n], verts[i])
-            angle += _interior_angle(incoming, outgoing)
+            k += _passes_east(outgoing, (-incoming[0], -incoming[1]))
             q, j = glue[(pid, i)]
             cur = (q, (j + 1) % len(verts_of[q]))
             if cur == start:
                 break
-        k = angle / (2 * math.pi)
-        if abs(k - round(k)) > 1e-9 or round(k) < 1:
-            raise SurfaceError(
-                f"vertex class {name} (at corner {start}) has cone angle "
-                f"{angle:.12f}, not a positive multiple of 2*pi")
-        cone_angles[name] = int(round(k))
+        cone_angles[name] = k
     return SurfaceDesc(polys, glue, cone_class, cone_angles)
 
 
@@ -329,9 +337,6 @@ class Chart:
     points: tuple[DevPoint, ...]       # visible cone points, sorted by position
     occluded: tuple[DevPoint, ...]     # in-window points hidden behind others
     placements: tuple[Placement, ...]
-
-    def positions(self) -> list[Point]:
-        return [p.position for p in self.points]
 
     @property
     def window_points(self) -> tuple[DevPoint, ...]:
@@ -618,42 +623,35 @@ def ray_meets_sublevel(q: QForm3, base: Point, through: Point) -> bool:
     return gamma <= 0
 
 
-def _ellipse_center_and_major(q: QForm3):
-    A = q.gram_restriction()
-    center = ellipse_center(q)
-    kappa = -q(lift(center))
-    eig = np.linalg.eigvalsh(np.array([[float(A[0][0]), float(A[0][1])],
-                                       [float(A[0][1]), float(A[1][1])]]))
-    major = math.sqrt(max(float(kappa), 0.0) / float(eig[0]))
-    return center, major
+def subconic_fits(chart: Chart, q: QForm3) -> Fit:
+    """Certify that the ellipse {q < 0} develops injectively: closed region
+    inside the chart's visibility region, open region free of cone points.
 
-
-def subconic_fits(chart: Chart, U) -> Fit:
-    """Certify that a subconic develops injectively: closed region inside the
-    chart's visibility region, open region free of cone points.
-
-    Ellipses reaching past the chart radius are INCONCLUSIVE (the window
-    cannot certify them either way unless a cone point already violates the
-    interior). Strips always exceed any finite window: NO when a cone point
-    lies strictly inside, INCONCLUSIVE otherwise.
+    The window can only certify an ellipse that the conservative bound
+    |centre - base| + semi-major axis < R keeps inside it; any other ellipse
+    is INCONCLUSIVE. The bound is decided exactly. With the restriction
+    [[a, b], [b, c]], kappa = -q(centre), t = a + c, delta = ac - b^2,
+    D = t^2 - 4 delta and beta = kappa / (2 delta), the squared semi-major
+    axis is beta t + beta sqrt(D), and with d = |centre - base|^2 the bound
+    holds iff d < R^2 and R^2 + d - beta t > beta sqrt(D) + 2 R sqrt(d),
+    which squaring twice turns into the rational tests below.
     """
-    form = U.form if isinstance(U, Subconic) else U
-    kind = U.kind if isinstance(U, Subconic) else classify(form).kind
-    if kind not in (SubconicKind.ELLIPSE_INTERIOR, SubconicKind.STRIP):
-        raise ValueError(f"fits is defined for ellipses and strips, not {kind}")
-    if kind is SubconicKind.STRIP:
-        for p in chart.points:
-            if form(lift(p.position)) < 0:
-                return Fit.NO
-        return Fit.INCONCLUSIVE
-    center, major = _ellipse_center_and_major(form)
-    reach = math.sqrt(float(dist2(center, chart.base))) + major
-    if reach >= float(chart.radius) * (1 - 1e-12):
+    (a, b), (_, c) = q.gram_restriction()
+    center = ellipse_center(q)
+    d = dist2(center, chart.base)
+    t, delta = a + c, a * c - b * b
+    D = t * t - 4 * delta
+    beta = -q(lift(center)) / (2 * delta)
+    r2 = chart.radius ** 2
+    x = r2 + d - beta * t
+    y = x * x - beta * beta * D - 4 * r2 * d
+    if not (d < r2 and x > 0 and y > 0
+            and y * y > 16 * beta * beta * r2 * D * d):
         return Fit.INCONCLUSIVE
     for p in chart.points:
-        if form(lift(p.position)) < 0:
+        if q(lift(p.position)) < 0:
             return Fit.NO
     for p in chart.points:
-        if ray_meets_sublevel(form, chart.base, p.position):
+        if ray_meets_sublevel(q, chart.base, p.position):
             return Fit.NO
     return Fit.YES

@@ -1,5 +1,10 @@
 """Affine reconstruction between explored windows and windowed Veech-group
 membership checks, plus the hyperbolic tessellation of a cell complex.
+
+Everything that decides a verdict is exact. An affine map keeps its rational
+matrix, and its homothety sqrt(det g) is taken as a rational only when det g
+is a rational square. The Veech check's safe sub-window compares squared
+distances against the operator norm of g with the square root squared out.
 """
 
 from __future__ import annotations
@@ -8,8 +13,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
-
-import numpy as np
 
 from .cellcomplex import (CellComplexWindow, CellMatching, _face_id,
                           frontier_bijection, matching_from_affine,
@@ -21,42 +24,38 @@ from .surface import Chart, SurfaceDesc, develop, dist2
 
 @dataclass(frozen=True)
 class AffineCandidate:
-    """An affine map z -> homothety * (linear z) + translation with
-    unimodular linear part."""
-    linear: tuple          # 2x2 rows, det = 1
-    homothety: object      # positive scalar (Fraction when exact)
+    """The affine map z -> g z + translation, with g = homothety * linear,
+    homothety = sqrt(det g) > 0 and linear unimodular.
+
+    `g` and `translation` hold exact rationals. `homothety` and `linear` are
+    the rational factors when det g is a rational square, and None when the
+    homothety is irrational.
+    """
+    g: tuple               # 2x2 rows, det > 0
     translation: tuple
 
-    def matrix(self):
+    @property
+    def det(self) -> Fraction:
+        (a, b), (c, d) = self.g
+        return Fraction(a * d - b * c)
+
+    @property
+    def homothety(self) -> Optional[Fraction]:
+        det = self.det
+        root = Fraction(math.isqrt(det.numerator), math.isqrt(det.denominator))
+        return root if root * root == det else None
+
+    @property
+    def linear(self) -> Optional[tuple]:
         h = self.homothety
-        (a, b), (c, d) = self.linear
-        return ((h * a, h * b), (h * c, h * d))
+        if h is None:
+            return None
+        return tuple(tuple(x / h for x in row) for row in self.g)
 
     def apply(self, p):
-        (a, b), (c, d) = self.matrix()
+        (a, b), (c, d) = self.g
         return (a * p[0] + b * p[1] + self.translation[0],
                 c * p[0] + d * p[1] + self.translation[1])
-
-
-def _exact_sqrt(f: Fraction) -> Optional[Fraction]:
-    if f < 0:
-        return None
-    n, d = f.numerator, f.denominator
-    rn, rd = math.isqrt(n), math.isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        return Fraction(rn, rd)
-    return None
-
-
-def _factor_homothety(g_raw):
-    (a, b), (c, d) = g_raw
-    det = a * d - b * c
-    h = None
-    if isinstance(det, Fraction) or isinstance(det, int):
-        h = _exact_sqrt(Fraction(det))
-    if h is None:
-        h = math.sqrt(float(det))
-    return ((a / h, b / h), (c / h, d / h)), h
 
 
 def psi_of_quadruple(Z, Zp) -> AffineCandidate:
@@ -90,8 +89,7 @@ def psi_of_quadruple(Z, Zp) -> AffineCandidate:
         raise ValueError(
             f"fourth point is inconsistent: {Z[3]} maps to {image}, "
             f"expected {Zp[3]}")
-    linear, h = _factor_homothety(g)
-    return AffineCandidate(linear, h, tau)
+    return AffineCandidate(g, tau)
 
 
 def reconstruct(A: CellComplexWindow, B: CellComplexWindow,
@@ -114,7 +112,7 @@ def reconstruct(A: CellComplexWindow, B: CellComplexWindow,
         elif c != candidate:
             raise ValueError(
                 f"1-cells {witness} and {q} determine different affine maps "
-                f"({candidate.matrix()} vs {c.matrix()})")
+                f"({candidate.g} vs {c.g})")
     if candidate is None:
         raise ValueError("no matched 1-cell has a fully matched quadruple")
     return candidate
@@ -141,13 +139,11 @@ def discover_affine(A: CellComplexWindow, B: CellComplexWindow):
                     cand = psi_of_quadruple(list(qa), list(perm))
                 except ValueError:
                     continue
-                key = (cand.linear, cand.homothety, cand.translation)
-                if key in tried:
+                if cand in tried:
                     continue
-                tried.add(key)
+                tried.add(cand)
                 try:
-                    phi = matching_from_affine(A, B, cand.matrix(),
-                                               cand.translation, strict=False)
+                    phi = matching_from_affine(A, B, cand.g, cand.translation)
                     rec = reconstruct(A, B, phi)
                 except ValueError:
                     continue
@@ -175,12 +171,15 @@ def discover_affine(A: CellComplexWindow, B: CellComplexWindow):
         return 0 if ordered else 1
 
     def size(entry):
+        # the entries of linear = g / sqrt(det g) are compared through
+        # x |x| = sign(x) x^2, which is rational and strictly increasing
         rec, phi = entry
         t0, t1 = rec.translation
-        (a, b), (c, d) = rec.linear
+        det = rec.det
+        entries = [x for row in rec.g for x in row]
         return (presentation_grade(rec), -len(phi.faces),
-                t0 * t0 + t1 * t1, a * a + b * b + c * c + d * d,
-                rec.linear, rec.translation)
+                t0 * t0 + t1 * t1, sum(x * x for x in entries) / det,
+                tuple(x * abs(x) / det for x in entries), rec.translation)
 
     certified.sort(key=size)
     return certified[0]
@@ -193,7 +192,6 @@ def discover_affine(A: CellComplexWindow, B: CellComplexWindow):
 class VeechVerdict:
     verdict: str                 # member-in-window | rejected | inconclusive
     radius: object
-    safe_radius: float
     translation: Optional[tuple]
     checked_points: int
     detail: str
@@ -206,10 +204,6 @@ class VeechVerdict:
         return self.verdict == "member-in-window"
 
 
-def _op_norm(g) -> float:
-    return float(np.linalg.norm(np.array(g, dtype=float), 2))
-
-
 def veech_check(surface: SurfaceDesc, g, radius=6,
                 chart: Optional[Chart] = None,
                 conics: Optional[list] = None) -> VeechVerdict:
@@ -220,6 +214,10 @@ def veech_check(surface: SurfaceDesc, g, radius=6,
     sub-window (radius R/||g||, so images stay inside the chart) that also
     maps every rigid conic there onto a rigid conic of the same homothety
     class. Verdicts: member-in-window / rejected / inconclusive.
+
+    A point p is safe iff d ||g||^2 <= R^2 with d = |p - base|^2. For det g
+    = 1 and t = ||g||_F^2, ||g||^2 = (t + sqrt(t^2 - 4)) / 2, so this holds
+    iff u = 2R^2 - d t >= 0 and d^2 (t^2 - 4) <= u^2.
     """
     g = ((Fraction(g[0][0]), Fraction(g[0][1])),
          (Fraction(g[1][0]), Fraction(g[1][1])))
@@ -230,12 +228,18 @@ def veech_check(surface: SurfaceDesc, g, radius=6,
         chart = develop(surface, None, radius)
     positions = {p.position for p in chart.window_points}
     base = chart.base
-    safe = float(radius) / _op_norm(g)
-    safe2 = Fraction(safe) ** 2
     r2 = Fraction(radius) ** 2
-    safe_pts = sorted(p for p in positions if dist2(p, base) <= safe2)
+    frob = sum(x * x for row in g for x in row)
+
+    def is_safe(p) -> bool:
+        d = dist2(p, base)
+        u = 2 * r2 - d * frob
+        return u >= 0 and d * d * (frob * frob - 4) <= u * u
+
+    safe_set = {p for p in positions if is_safe(p)}
+    safe_pts = sorted(safe_set)
     if not safe_pts:
-        return VeechVerdict("inconclusive", radius, safe, None, 0,
+        return VeechVerdict("inconclusive", radius, None, 0,
                             "safe sub-window contains no cone points")
 
     def apply(p, tau):
@@ -261,7 +265,7 @@ def veech_check(surface: SurfaceDesc, g, radius=6,
     # against the window truncating the image conic differently
     classes = {class_key(U.subconic) for U in conics}
     safe_conics = [U for U in conics
-                   if all(dist2(p, base) <= safe2 for p in U.boundary_points())]
+                   if all(p in safe_set for p in U.boundary_points())]
     # the class of the image reads only its Gram restriction, which the
     # translation does not touch: one test serves every candidate tau
     mismatched = next((U for U in safe_conics
@@ -278,7 +282,7 @@ def veech_check(surface: SurfaceDesc, g, radius=6,
                 ok = False
                 break
             pre = unapply(p, tau)
-            if dist2(pre, base) <= safe2 and pre not in positions:
+            if pre not in positions and is_safe(pre):
                 ok = False
                 break
         if not ok:
@@ -288,11 +292,11 @@ def veech_check(surface: SurfaceDesc, g, radius=6,
                            f"conic {mismatched.key()} maps to an unseen "
                            "homothety class")
             continue
-        return VeechVerdict("member-in-window", radius, safe, tau,
+        return VeechVerdict("member-in-window", radius, tau,
                             len(safe_pts),
                             f"bijective on {len(safe_pts)} cone points, "
                             f"{len(safe_conics)} rigid conic classes matched")
-    return VeechVerdict("rejected", radius, safe, None, len(safe_pts),
+    return VeechVerdict("rejected", radius, None, len(safe_pts),
                         best_detail)
 
 

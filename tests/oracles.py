@@ -192,6 +192,23 @@ def _ref_polygon_dist2(p, verts):
                for i in range(len(verts)))
 
 
+def reference_ellipse_within(q, base, radius) -> bool:
+    """The float window bound that `surface.subconic_fits` once used: centre
+    distance plus semi-major axis (from numpy `eigvalsh`) below the radius,
+    less a relative slack of 1e-12 that absorbs rounding at exact ties."""
+    import math
+    from flatconic.quadform import ellipse_center, lift
+    (a, b), (_, c) = q.gram_restriction()
+    center = ellipse_center(q)
+    kappa = -q(lift(center))
+    eig = np.linalg.eigvalsh(np.array([[float(a), float(b)],
+                                       [float(b), float(c)]]))
+    major = math.sqrt(max(float(kappa), 0.0) / float(eig[0]))
+    reach = math.sqrt(float((center[0] - base[0]) ** 2
+                            + (center[1] - base[1]) ** 2)) + major
+    return reach < float(radius) * (1 - 1e-12)
+
+
 def stretched_l():
     """The L of unequal squares, with the gluings of `models.l_shape`."""
     from flatconic.models import l_shape
@@ -417,7 +434,7 @@ def reference_veech_check(surface, g, radius=6, chart=None, conics=None):
     r2 = Fraction(radius) ** 2
     safe_pts = sorted(p for p in positions if dist2(p, base) <= safe2)
     if not safe_pts:
-        return VeechVerdict("inconclusive", radius, safe, None, 0,
+        return VeechVerdict("inconclusive", radius, None, 0,
                             "safe sub-window contains no cone points")
 
     def apply(p, tau):
@@ -468,9 +485,9 @@ def reference_veech_check(surface, g, radius=6, chart=None, conics=None):
                            f"conic {mismatched.key()} maps to an unseen "
                            "homothety class")
             continue
-        return VeechVerdict("member-in-window", radius, safe, tau,
+        return VeechVerdict("member-in-window", radius, tau,
                             len(safe_pts),
                             f"bijective on {len(safe_pts)} cone points, "
                             f"{len(safe_conics)} rigid conic classes matched")
-    return VeechVerdict("rejected", radius, safe, None, len(safe_pts),
+    return VeechVerdict("rejected", radius, None, len(safe_pts),
                         best_detail)

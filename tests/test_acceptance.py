@@ -381,7 +381,7 @@ def test_reconstruct_recovers_the_shear_and_scales_the_homothety():
     A = build_complex(develop(torus, radius=6), SEED, budget=12)
     B = build_complex(develop(torus.mapped(T)), ((0, 0), (1, 1), (0, 1)),
                       budget=20)
-    phi = matching_from_affine(A, B, T, (0, 0), strict=False)
+    phi = matching_from_affine(A, B, T, (0, 0))
     rec = reconstruct(A, B, phi)
     assert rec.linear == ((F(1), F(1)), (F(0), F(1)))
     assert rec.homothety == 1
@@ -390,7 +390,7 @@ def test_reconstruct_recovers_the_shear_and_scales_the_homothety():
     big = torus.mapped(T).scaled(2)
     B2 = build_complex(develop(big, radius=12), ((0, 0), (2, 2), (0, 2)),
                        budget=20)
-    phi2 = matching_from_affine(A, B2, ((2, 2), (0, 2)), (0, 0), strict=False)
+    phi2 = matching_from_affine(A, B2, ((2, 2), (0, 2)), (0, 0))
     rec2 = reconstruct(A, B2, phi2)
     assert rec2.linear == ((F(1), F(1)), (F(0), F(1)))
     assert rec2.homothety == 2
@@ -404,7 +404,7 @@ def test_tessellations_are_equivariant_under_the_shear():
     A = build_complex(develop(torus, radius=6), SEED, budget=20)
     B = build_complex(develop(torus.mapped(T)), ((0, 0), (1, 1), (0, 1)),
                       budget=20)
-    phi = matching_from_affine(A, B, T, (0, 0), strict=False)
+    phi = matching_from_affine(A, B, T, (0, 0))
     assert len(phi.faces) == 11 and len(phi.vertices) == 13
 
     tessA, tessB = tessellate(A), tessellate(B)

@@ -259,7 +259,7 @@ def test_shear_matching_transports_cone_points(torus_chart):
     T = ((1, 1), (0, 1))
     B = build_complex(develop(square_torus().mapped(T)),
                       ((0, 0), (1, 1), (0, 1)), budget=20)
-    phi = matching_from_affine(A, B, T, (0, 0), strict=False)
+    phi = matching_from_affine(A, B, T, (0, 0))
     assert len(phi.faces) == 6
     assert len(phi.vertices) == 11
     beta = frontier_bijection(A, B, phi)
@@ -270,9 +270,9 @@ def test_shear_matching_transports_cone_points(torus_chart):
 def test_matching_rejects_maps_with_no_common_cells(torus_chart):
     A = build_complex(torus_chart, SEED, budget=12)
     with pytest.raises(ValueError, match="matches no cells"):
-        matching_from_affine(A, A, ((1, F(1, 2)), (0, 1)), (0, 0), strict=False)
+        matching_from_affine(A, A, ((1, F(1, 2)), (0, 1)), (0, 0))
     with pytest.raises(ValueError, match="matches no cells"):
-        matching_from_affine(A, A, ((1, 0), (0, 1)), (F(1, 3), 0), strict=False)
+        matching_from_affine(A, A, ((1, 0), (0, 1)), (F(1, 3), 0))
 
 
 def test_frontier_bijection_rejects_non_injective_matchings(torus_chart):

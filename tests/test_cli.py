@@ -111,6 +111,19 @@ def test_rebuild_prints_the_discovered_matrix(torus_file, tmp_path, capsys):
     assert "homothety: 1" in out
 
 
+def test_rebuild_prints_an_irrational_homothety_exactly(torus_file, tmp_path,
+                                                      capsys):
+    # det [[2,0],[0,1]] = 2 is not a rational square, so the unimodular
+    # part and the homothety are printed with sqrt(2) factored out
+    stretched = tmp_path / "stretched.tsurf"
+    stretched.write_text(surface_to_json(square_torus().mapped(((2, 0), (0, 1)))))
+    assert main(["rebuild", torus_file, str(stretched), "--radius", "4",
+                 "--budget", "4", "--target-budget", "6"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == ["[[2,0],[0,1]]/sqrt(2)", "homothety: sqrt(2)",
+                         "translation: (0,0)"]
+
+
 def test_tessellate_svg(torus_file, tmp_path, capsys):
     svg_path = tmp_path / "tess.svg"
     assert main(["tessellate", torus_file, "--budget", "8",

@@ -1,19 +1,21 @@
-"""The exact core takes no tolerance, and its arithmetic modules import no
-numpy: a float arriving there is taken at its exact binary value."""
+"""The exact core takes no tolerance and imports no numpy: a float arriving
+there is taken at its exact binary value. No module of the package imports
+scipy."""
 
 import ast
 import importlib
 import inspect
+import pkgutil
 
 import pytest
+
+import flatconic
 
 EXACT = ("linalg", "quadform", "subconic", "surface", "cellcomplex", "veech",
          "cli")
 
 
-@pytest.mark.parametrize("name", ["linalg", "quadform", "subconic",
-                                  "cellcomplex"])
-def test_exact_arithmetic_modules_import_no_numpy(name):
+def _top_level_imports(name: str) -> set:
     module = importlib.import_module(f"flatconic.{name}")
     imported = set()
     for node in ast.walk(ast.parse(inspect.getsource(module))):
@@ -21,7 +23,18 @@ def test_exact_arithmetic_modules_import_no_numpy(name):
             imported |= {a.name.split(".")[0] for a in node.names}
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             imported.add(node.module.split(".")[0])
-    assert not imported & {"numpy", "scipy"}
+    return imported
+
+
+@pytest.mark.parametrize("name", EXACT)
+def test_exact_arithmetic_modules_import_no_numpy(name):
+    assert not _top_level_imports(name) & {"numpy", "scipy"}
+
+
+def test_no_module_imports_scipy():
+    names = [m.name for m in pkgutil.iter_modules(flatconic.__path__)]
+    assert set(EXACT) < set(names)
+    assert [n for n in names if "scipy" in _top_level_imports(n)] == []
 
 
 @pytest.mark.parametrize("name", EXACT)

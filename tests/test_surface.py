@@ -9,8 +9,12 @@ from hypothesis import strategies as st
 
 import oracles
 from flatconic.models import l_shape, square_torus, two_marked_torus
+from flatconic.quadform import ellipse_center, from_poly
+from flatconic.subconic import (DegenerateConfiguration, SubconicKind,
+                                conic_through_five)
 from flatconic.surface import (
     Chart,
+    Fit,
     SurfaceError,
     default_base,
     develop,
@@ -18,6 +22,7 @@ from flatconic.surface import (
     locate,
     parse_surface,
     rebase,
+    subconic_fits,
     surface_to_json,
     validate_surface,
 )
@@ -41,6 +46,8 @@ def test_two_marked_torus_splits_the_square_and_adds_a_class():
 
 def test_l_shape_cone_angle_is_six_pi():
     assert l_shape().cone_angles == {"c0": 3}
+    # a straight corner, at (1, 0), and unequal squares
+    assert oracles.stretched_l().cone_angles == {"c0": 3}
 
 
 def test_validation_rejects_unglued_edges():
@@ -210,3 +217,62 @@ def test_integer_frame_unfolding_matches_the_fraction_reference(case):
             _outcome(oracles.reference_locate, ref, pos)
         assert _outcome(rebase, chart, pos, F(2)) == \
             _outcome(oracles.reference_rebase, ref, pos, F(2))
+
+
+# ---------------------------------------------------------------------------
+# the exact window bound of subconic_fits against the float reference
+
+def _ellipse(center, a2, b2):
+    """The form of (x - cx)^2/a2 + (y - cy)^2/b2 - 1, negative inside."""
+    cx, cy = center
+    return from_poly(F(1) / a2, 0, F(1) / b2, -2 * cx / a2, -2 * cy / b2,
+                     cx * cx / a2 + cy * cy / b2 - 1)
+
+
+def _shifted(chart, dx):
+    return (chart.base[0] + dx, chart.base[1])
+
+
+TIE_CHART = develop(two_marked_torus(), radius=1)
+WIDE_CHART = develop(two_marked_torus(), radius=3)
+
+
+@st.composite
+def ellipse_window_cases(draw):
+    """(chart, form): a two-marked-torus chart and the ellipse through five
+    of its window points, the chart based where it was developed or, as in
+    `rigid_conics`, re-based at the ellipse centre."""
+    m = (F(draw(st.integers(1, 4)), 5), F(draw(st.integers(1, 4)), 5))
+    radius = draw(st.sampled_from([F(3, 2), F(2), F(5, 2)]))
+    chart = develop(two_marked_torus(marked=m), radius=radius)
+    pts = [p.position for p in chart.window_points]
+    picks = draw(st.lists(st.sampled_from(pts), min_size=5, max_size=5,
+                          unique=True))
+    try:
+        U = conic_through_five(picks)
+    except DegenerateConfiguration:
+        U = None
+    assume(U is not None and U.kind is SubconicKind.ELLIPSE_INTERIOR)
+    if draw(st.booleans()):
+        try:
+            chart = rebase(chart, ellipse_center(U.form))
+        except SurfaceError:
+            assume(False)
+    return chart, U.form
+
+
+@settings(max_examples=80, deadline=None)
+@given(ellipse_window_cases())
+@example((TIE_CHART, _ellipse(TIE_CHART.base, 1, 1)))
+@example((TIE_CHART, _ellipse(_shifted(TIE_CHART, F(1, 2)), F(1, 4), F(1, 4))))
+@example((TIE_CHART, _ellipse(_shifted(TIE_CHART, 3), F(1, 16), F(1, 16))))
+@example((WIDE_CHART, _ellipse(_shifted(WIDE_CHART, 1), 4, 1)))
+def test_exact_window_bound_matches_the_float_reference(case):
+    # the first two circles reach exactly R = 1, and the ellipse
+    # x^2/4 + y^2 < 1 centred one unit right of the base reaches exactly
+    # R = 3 (distance 1 plus semi-major axis 2): no test may certify them.
+    # The small circle three units away is wholly outside the window.
+    chart, q = case
+    within = subconic_fits(chart, q) is not Fit.INCONCLUSIVE
+    assert within == oracles.reference_ellipse_within(q, chart.base,
+                                                      chart.radius)

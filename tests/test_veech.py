@@ -14,7 +14,7 @@ from flatconic.geom import INFINITY, class_key
 from flatconic.models import l_shape, square_torus, two_marked_torus
 from flatconic.quadform import transform_by_affine
 from flatconic.subconic import SubconicKind
-from flatconic.surface import develop
+from flatconic.surface import develop, dist2
 from flatconic.veech import (
     discover_affine,
     psi_of_quadruple,
@@ -91,8 +91,7 @@ def window_b_sheared():
 
 
 def test_reconstruct_recovers_the_shear(window_a, window_b_sheared):
-    phi = matching_from_affine(window_a, window_b_sheared, T, (0, 0),
-                               strict=False)
+    phi = matching_from_affine(window_a, window_b_sheared, T, (0, 0))
     rec = reconstruct(window_a, window_b_sheared, phi)
     assert rec.linear == ((F(1), F(1)), (F(0), F(1)))
     assert rec.homothety == 1
@@ -209,6 +208,19 @@ def test_veech_verdicts_match_the_reference(stratum):
     if stratum == "L-R4":
         # S passes the cone-point test and fails the class test
         assert "maps to an unseen homothety class" in details[1]
+
+
+@pytest.mark.parametrize("g, norm2, radius",
+                         [(S, 1, F(3, 2)), (((2, 0), (0, F(1, 2))), 4, 3)])
+def test_the_safe_sub_window_is_closed(g, norm2, radius):
+    # ||g||^2 is rational for both maps; from the base (1/2, 0) the cone
+    # point (2, 0) lies exactly on the safe circle of radius R/||g|| = 3/2
+    chart = develop(square_torus(), ("p0", (F(1, 2), 0)), radius)
+    d2 = [dist2(p.position, chart.base) * norm2 for p in chart.window_points]
+    assert radius ** 2 in d2
+    verdict = veech_check(square_torus(), g, radius, chart=chart,
+                          conics=rigid_conics(chart))
+    assert verdict.checked_points == sum(d <= radius ** 2 for d in d2)
 
 
 @functools.cache
