@@ -8,7 +8,9 @@ windowed cell complex (`build_complex`).  Affine maps between two such
 windows can be certified cell-by-cell (`matching_from_affine`,
 `reconstruct`, `discover_affine`), which yields a windowed Veech-group
 membership test (`veech_check`) and a hyperbolic tessellation of the window
-(`tessellate`, `render_svg`).
+(`tessellate`, `render_svg`) at the exact h-points of the rigid conics
+(`h_point`).  The package runs on the standard library alone; the float
+layer of the ellipse lemma needs numpy and is imported from `flatconic.lemma`.
 """
 
 from .quadform import (
@@ -69,21 +71,7 @@ from .cellcomplex import (
     rigid_conics,
     two_cell,
 )
-from .geom import (
-    Config,
-    HPoint,
-    INFINITY,
-    check_geometric_lemma,
-    class_key,
-    h_point,
-    homothety_class,
-    mobius,
-    normalize_ellipse,
-    oriented_bisector,
-    q_rotation,
-    quadruple_form,
-    rotation_angle,
-)
+from .geom import HPoint, INFINITY, class_key, h_point, mobius
 from .veech import (
     AffineCandidate,
     Tessellation,

@@ -27,8 +27,9 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
-from .linalg import (Scalar, common_denominator, convex_hull_ccw, cross, dot2,
-                     fraction_str, primitive, scaled_int, sign_of)
+from .geom import h_point
+from .linalg import (Scalar, apply_affine, common_denominator, convex_hull_ccw,
+                     cross, dot2, fraction_str, primitive, scaled_int, sign_of)
 from .quadform import (CollinearTripleError, NaturalBasis, QForm3,
                        canonical_scale, combine, ellipse_center, lift,
                        natural_basis, transform_by_affine)
@@ -89,6 +90,19 @@ class RigidConic:
         return succ
 
 
+def _window_zeros(chart: Chart, q: QForm3) -> Optional[list]:
+    """The window positions where q vanishes, or None if q is negative at a
+    window point. Every developed point counts, occluded ones included."""
+    zeros = []
+    for p in chart.window_points:
+        s = sign_of(q(lift(p.position)))
+        if s < 0:
+            return None
+        if s == 0:
+            zeros.append(p.position)
+    return zeros
+
+
 def _ellipse_rigid(chart: Chart, q: QForm3) -> Optional[RigidConic]:
     """Extend an ellipse form to its full windowed rigid conic, or reject.
 
@@ -97,14 +111,8 @@ def _ellipse_rigid(chart: Chart, q: QForm3) -> Optional[RigidConic]:
     interior tests run over every developed point of the window (occluded
     ones included), so the result does not depend on the chart's base.
     """
-    zeros = []
-    for p in chart.window_points:
-        s = sign_of(q(lift(p.position)))
-        if s < 0:
-            return None
-        if s == 0:
-            zeros.append(p.position)
-    if len(zeros) < 5:
+    zeros = _window_zeros(chart, q)
+    if zeros is None or len(zeros) < 5:
         return None
     fit = subconic_fits(rebase(chart, ellipse_center(q)), q)
     if fit is Fit.NO:
@@ -120,13 +128,9 @@ def _strip_rigid(chart: Chart, q: QForm3) -> Optional[RigidConic]:
     """Windowed maximal strip through the zero set of q; always truncated."""
     direction = strip_direction(q)
     normal = (-direction[1], direction[0])
-    zeros = []
-    for p in chart.window_points:
-        s = sign_of(q(lift(p.position)))
-        if s < 0:
-            return None
-        if s == 0:
-            zeros.append(p.position)
+    zeros = _window_zeros(chart, q)
+    if zeros is None:
+        return None
     levels = sorted({dot2(normal, z) for z in zeros})
     if len(levels) != 2:
         return None
@@ -732,11 +736,6 @@ class CellMatching:
     vertices: dict
 
 
-def _apply_affine(g, tau, p):
-    return (g[0][0] * p[0] + g[0][1] * p[1] + tau[0],
-            g[1][0] * p[0] + g[1][1] * p[1] + tau[1])
-
-
 def matching_from_affine(A: CellComplexWindow, B: CellComplexWindow,
                          g, tau=(0, 0)) -> CellMatching:
     """The matching induced by z -> g z + tau on the cells of A that land
@@ -749,7 +748,7 @@ def matching_from_affine(A: CellComplexWindow, B: CellComplexWindow,
     rarely clip it identically. Raises when no face or no edge matches.
     """
     def image_key(key):
-        return _pos_key([_apply_affine(g, tau, p) for p in key])
+        return _pos_key([apply_affine(g, tau, p) for p in key])
 
     faces, edges, vertices = {}, {}, {}
     for key in A.cells:
@@ -1009,7 +1008,6 @@ def _pos_json(p) -> list:
 
 
 def complex_to_json(window: CellComplexWindow) -> str:
-    from .geom import h_point, homothety_class
     verts = []
     vertex_ids = {}
     for i, key in enumerate(sorted(window.vertices)):
@@ -1027,7 +1025,7 @@ def complex_to_json(window: CellComplexWindow) -> str:
             entry["boundary"] = [[_pos_json(p) for p in line]
                                  for line in U.boundary]
         try:
-            entry["h_point"] = str(h_point(homothety_class(U.subconic)))
+            entry["h_point"] = str(h_point(U.subconic))
         except ValueError:
             pass
         verts.append(entry)

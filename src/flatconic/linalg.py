@@ -181,6 +181,12 @@ def dot2(a, b) -> Scalar:
     return a[0] * b[0] + a[1] * b[1]
 
 
+def apply_affine(g, tau, p):
+    """The image g p + tau of the point p under the affine map (g, tau)."""
+    return (g[0][0] * p[0] + g[0][1] * p[1] + tau[0],
+            g[1][0] * p[0] + g[1][1] * p[1] + tau[1])
+
+
 def convex_hull_ccw(points):
     """Monotone chain over exact coordinates; returns hull CCW, no duplicates.
 

@@ -25,22 +25,15 @@ def _num(x: float) -> str:
 
 def _as_xy(p: HPoint) -> tuple:
     """Half-plane coordinates (x, y); infinity maps to None."""
-    if p.ideal:
-        if p.value == INFINITY:
-            return None
-        return (float(p.value), 0.0)
-    return (p.value.real, p.value.imag)
+    if p.ideal and p.value == INFINITY:
+        return None
+    z = p.as_complex()
+    return (z.real, z.imag)
 
 
 def _cayley(p: HPoint) -> tuple:
-    if p.ideal and p.value == INFINITY:
-        return (1.0, 0.0)
-    if p.ideal:
-        z = complex(float(p.value), 0.0)
-    else:
-        z = p.value
-    w = (z - 1j) / (z + 1j)
-    return (w.real, w.imag)
+    xy = _as_xy(p)
+    return (1.0, 0.0) if xy is None else _cayley_xy(xy)
 
 
 def _geodesic_mid(a: tuple, b: tuple) -> tuple:

@@ -17,7 +17,8 @@ from typing import Optional
 from .cellcomplex import (CellComplexWindow, CellMatching, _face_id,
                           frontier_bijection, matching_from_affine,
                           rigid_conics)
-from .geom import class_key, h_point, homothety_class
+from .geom import class_key, h_point
+from .linalg import apply_affine, convex_hull_ccw
 from .quadform import canonical_scale, transform_by_affine
 from .surface import Chart, SurfaceDesc, develop, dist2
 
@@ -53,9 +54,7 @@ class AffineCandidate:
         return tuple(tuple(x / h for x in row) for row in self.g)
 
     def apply(self, p):
-        (a, b), (c, d) = self.g
-        return (a * p[0] + b * p[1] + self.translation[0],
-                c * p[0] + d * p[1] + self.translation[1])
+        return apply_affine(self.g, self.translation, p)
 
 
 def psi_of_quadruple(Z, Zp) -> AffineCandidate:
@@ -121,20 +120,25 @@ def reconstruct(A: CellComplexWindow, B: CellComplexWindow,
 def discover_affine(A: CellComplexWindow, B: CellComplexWindow):
     """Search for an affine map carrying window A onto window B.
 
-    Every ordering of every B 1-cell is tried as the image of each A 1-cell;
-    each orientation-preserving candidate map is vetted by matching the whole
-    windows and reconstructing. Among the certified maps the one with the
-    smallest translation (then smallest entries) is returned, together with
-    its matching. Raises when nothing certifies.
+    A 1-cell quadruple is strictly convex (on an ellipse, or 2 + 2 points on
+    two parallel lines), and an orientation-preserving affine map keeps its
+    counterclockwise order. So each A 1-cell is sent onto the 4 cyclic
+    rotations of each B 1-cell only, in the order a search over all 24
+    orderings would meet them. Each candidate map is vetted by matching the
+    whole windows and reconstructing. Among the certified maps the one with
+    the smallest translation (then smallest entries) is returned, together
+    with its matching. Raises when nothing certifies.
     """
-    from itertools import permutations
-
-    b_edges = sorted(B.edges)
+    b_edges = [(qb, convex_hull_ccw(qb)) for qb in sorted(B.edges)]
     tried = set()
     certified = []
     for qa in sorted(A.edges):
-        for qb in b_edges:
-            for perm in permutations(qb):
+        ccw = convex_hull_ccw(qa)
+        for qb, ccw_b in b_edges:
+            images = sorted(
+                tuple(dict(zip(ccw, ccw_b[k:] + ccw_b[:k]))[p] for p in qa)
+                for k in range(len(ccw_b)))
+            for perm in images:
                 try:
                     cand = psi_of_quadruple(list(qa), list(perm))
                 except ValueError:
@@ -242,10 +246,6 @@ def veech_check(surface: SurfaceDesc, g, radius=6,
         return VeechVerdict("inconclusive", radius, None, 0,
                             "safe sub-window contains no cone points")
 
-    def apply(p, tau):
-        return (g[0][0] * p[0] + g[0][1] * p[1] + tau[0],
-                g[1][0] * p[0] + g[1][1] * p[1] + tau[1])
-
     inv = ((g[1][1], -g[0][1]), (-g[1][0], g[0][0]))
 
     def unapply(p, tau):
@@ -254,7 +254,7 @@ def veech_check(surface: SurfaceDesc, g, radius=6,
                 inv[1][0] * q[0] + inv[1][1] * q[1])
 
     anchor = min(safe_pts, key=lambda p: (dist2(p, base), p))
-    g_anchor = apply(anchor, (0, 0))
+    g_anchor = apply_affine(g, (0, 0), anchor)
     taus = sorted({(w[0] - g_anchor[0], w[1] - g_anchor[1])
                    for w in positions},
                   key=lambda t: (t[0] * t[0] + t[1] * t[1], t))
@@ -277,7 +277,7 @@ def veech_check(surface: SurfaceDesc, g, radius=6,
     for tau in taus:
         ok = True
         for p in safe_pts:
-            image = apply(p, tau)
+            image = apply_affine(g, tau, p)
             if dist2(image, base) <= r2 and image not in positions:
                 ok = False
                 break
@@ -324,7 +324,7 @@ class Tessellation:
 def tessellate(window: CellComplexWindow) -> Tessellation:
     vertex_points = {}
     for key, U in sorted(window.vertices.items()):
-        vertex_points[key] = h_point(homothety_class(U.subconic))
+        vertex_points[key] = h_point(U.subconic)
     faces = []
     for fkey in sorted(window.cells):
         cell = window.cells[fkey]

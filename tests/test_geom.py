@@ -5,18 +5,13 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flatconic.geom import (
+from flatconic.geom import HPoint, INFINITY, class_key, h_point, mobius
+from flatconic.lemma import (
     Config,
-    HPoint,
-    INFINITY,
     check_geometric_lemma,
-    class_key,
-    h_point,
-    homothety_class,
-    mobius,
     normalize_ellipse,
     oriented_bisector,
     q_rotation,
@@ -24,7 +19,6 @@ from flatconic.geom import (
     rotation_angle,
 )
 from flatconic.quadform import from_poly, transform_by_affine
-from flatconic.subconic import SubconicKind
 
 I2 = ((1, 0), (0, 1))
 DISC = from_poly(1, 0, 1, 0, 0, -1)
@@ -132,12 +126,16 @@ def test_normalize_is_idempotent_on_the_disc():
 
 
 def test_homothety_class_kinds():
-    assert homothety_class(DISC).kind is SubconicKind.ELLIPSE_INTERIOR
+    assert class_key(DISC) == ("ellipse", 0, 1)
+    assert not h_point(DISC).ideal
     strip = from_poly(0, 0, 1, 0, -1, 0)
-    hc = homothety_class(strip)
-    assert hc.kind is SubconicKind.STRIP and hc.direction == (1, 0)
+    assert class_key(strip) == ("strip", 1, 0)
+    assert h_point(strip) == HPoint(True, INFINITY)
+    half_plane = from_poly(0, 0, 0, 0, 1, 0)
     with pytest.raises(ValueError):
-        homothety_class(from_poly(0, 0, 0, 0, 1, 0))
+        class_key(half_plane)
+    with pytest.raises(ValueError):
+        h_point(half_plane)
 
 
 def test_class_key_is_exact_and_translation_invariant():
@@ -149,9 +147,9 @@ def test_class_key_is_exact_and_translation_invariant():
 
 
 def test_h_point_values():
-    assert h_point(DISC).value == pytest.approx(complex(0, 1))
-    assert h_point(from_poly(1, 0, 4, 0, 0, -1)).value == pytest.approx(complex(0, 2))
-    assert h_point(HEX).value == pytest.approx(complex(-0.5, math.sqrt(3) / 2))
+    assert h_point(DISC) == HPoint(False, (0, 1))
+    assert h_point(from_poly(1, 0, 4, 0, 0, -1)) == HPoint(False, (0, 4))
+    assert h_point(HEX) == HPoint(False, (F(-1, 2), F(3, 4)))
     horiz = h_point(from_poly(0, 0, 1, 0, -1, 0))
     assert horiz.ideal and horiz.value == INFINITY
     diag = h_point(from_poly(1, -2, 1, 1, -1, 0))
@@ -161,7 +159,40 @@ def test_h_point_values():
 def test_h_point_is_equivariant_for_the_linear_action():
     g = ((1, 1), (0, 1))
     sheared = transform_by_affine(HEX, g, (0, 0))
-    assert mobius(g, h_point(HEX)).value == pytest.approx(h_point(sheared).value)
+    assert mobius(g, h_point(HEX)) == h_point(sheared)
+
+
+def test_h_points_print_correctly_rounded():
+    # Gram [[1, 2/3], [2/3, 4/3]]: -2/3 + i sqrt(8/9)
+    assert str(h_point(from_poly(1, F(4, 3), F(4, 3), 0, 0, -1))) == \
+        "-0.6666666666666666+0.9428090415820634i"
+    assert str(h_point(HEX)) == "-0.5+0.8660254037844386i"
+    assert str(h_point(DISC)) == "0.0+1.0i"
+    assert str(HPoint(True, F(-3, 2))) == "-3/2"
+    assert str(HPoint(True, INFINITY)) == "inf"
+
+
+def _rounding_interval(y: float) -> tuple:
+    """The reals that round to the float y > 0, as exact Fraction bounds."""
+    lo = (F(y) + F(math.nextafter(y, 0))) / 2
+    hi = (F(y) + F(math.nextafter(y, math.inf))) / 2
+    return lo, hi
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.fractions(-10 ** 6, 10 ** 6, max_denominator=10 ** 9),
+       st.fractions(F(1, 10 ** 12), 10 ** 12, max_denominator=10 ** 12))
+@example(F(-2, 3), F(8, 9))
+@example(F(0), F(1, 3))
+def test_printed_h_point_is_the_nearest_float(x, y2):
+    text = str(HPoint(False, (x, y2)))
+    assert text.endswith("i")
+    real, imag = text[:-1].rsplit("+", 1)
+    assert float(real) == float(x)
+    y = float(imag)
+    lo, hi = _rounding_interval(y)
+    assert lo * lo <= y2 <= hi * hi
+    assert HPoint(False, (x, y2)).as_complex() == complex(float(x), y)
 
 
 def test_mobius_exact_on_rational_ideal_points():
@@ -171,7 +202,9 @@ def test_mobius_exact_on_rational_ideal_points():
     assert z.ideal and z.value == F(3, 2)
     assert mobius(S, HPoint(True, INFINITY)).value == 0
     assert mobius(S, HPoint(True, F(0))).value == INFINITY
-    assert mobius(S, complex(0, 1)) == pytest.approx(complex(0, 1))
+    assert mobius(S, HPoint(False, (0, 1))) == HPoint(False, (0, 1))
+    assert mobius(T, HPoint(False, (F(-1, 2), F(3, 4)))) == \
+        HPoint(False, (F(1, 2), F(3, 4)))
 
 
 def chord_strip(p, q):

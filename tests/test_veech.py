@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import oracles
 
 from flatconic.cellcomplex import build_complex, matching_from_affine, rigid_conics
-from flatconic.geom import INFINITY, class_key
+from flatconic.geom import INFINITY, class_key, h_point, mobius
 from flatconic.models import l_shape, square_torus, two_marked_torus
 from flatconic.quadform import transform_by_affine
 from flatconic.subconic import SubconicKind
@@ -247,3 +247,9 @@ SL2Z_SMALL = [((a, b), (c, d)) for a in range(-3, 4) for b in range(-3, 4)
 def test_image_class_does_not_depend_on_the_translation(q, g, tau):
     assert class_key(transform_by_affine(q, g, tau)) == \
         class_key(transform_by_affine(q, g, (0, 0)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(RIGID_FORMS, st.sampled_from(SL2Z_SMALL))
+def test_h_point_is_exactly_equivariant(q, g):
+    assert mobius(g, h_point(q)) == h_point(transform_by_affine(q, g, (0, 0)))
