@@ -13,7 +13,7 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from flatconic.cellcomplex import build_complex, default_seed
+from flatconic.cellcomplex import build_complex
 from flatconic.models import square_torus
 from flatconic.render import render_svg
 from flatconic.surface import develop
@@ -28,7 +28,7 @@ def main():
     args = ap.parse_args()
 
     chart = develop(square_torus(), radius=args.radius)
-    window = build_complex(chart, default_seed(chart), budget=args.budget)
+    window = build_complex(chart, budget=args.budget)
     tess = tessellate(window)
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -5,7 +5,10 @@ interior, and maximal strips), 1-cells are realizable quadruples, 2-cells are
 realizable triples. For a triple Z the 2-cell is computed exactly in the
 T-plane of its natural pencil basis: every other cone point z contributes the
 linear constraint q_t(z) >= 0, and the feasible polygon is cut out of the
-unit simplex by Sutherland-Hodgman clipping over rationals.
+unit simplex by Sutherland-Hodgman clipping. Both run on ints: the
+constraints come from the barycentric coordinates of z in the int frame of
+the window, a positive multiple of each, and the clipped polygon keeps its
+vertices as homogeneous int triples until it is returned.
 
 `rigid_conics` works in the integer frame of the window (positions times
 the least common denominator L of their coordinates). Its chord graph keys
@@ -22,7 +25,8 @@ swept direction.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional
@@ -31,11 +35,11 @@ from .geom import h_point
 from .linalg import (Scalar, apply_affine, common_denominator, convex_hull_ccw,
                      cross, dot2, fraction_str, primitive, scaled_int, sign_of)
 from .quadform import (CollinearTripleError, NaturalBasis, QForm3,
-                       canonical_scale, combine, ellipse_center, lift,
+                       canonical_scale, combine, ellipse_center,
                        natural_basis, transform_by_affine)
 from .subconic import (Subconic, SubconicKind, classify, conic_through_five,
                        strip_direction, subconic)
-from .surface import (Chart, DevPoint, Fit, SurfaceError, dist2, rebase,
+from .surface import (Chart, Fit, SurfaceError, _int_form, dist2, rebase,
                       subconic_fits)
 
 Position = tuple[Scalar, Scalar]
@@ -92,14 +96,21 @@ class RigidConic:
 
 def _window_zeros(chart: Chart, q: QForm3) -> Optional[list]:
     """The window positions where q vanishes, or None if q is negative at a
-    window point. Every developed point counts, occluded ones included."""
+    window point. Every developed point counts, occluded ones included.
+
+    q is evaluated on ints: at (X, Y, L) for the window point (X, Y)/L, L
+    the least common denominator of the window positions (`_int_form`).
+    """
+    window = [p.position for p in chart.window_points]
+    L = common_denominator(c for p in window for c in p)
+    qi = _int_form(q, (0, 0))
     zeros = []
-    for p in chart.window_points:
-        s = sign_of(q(lift(p.position)))
+    for x, y in window:
+        s = qi((scaled_int(x, L), scaled_int(y, L), L))
         if s < 0:
             return None
         if s == 0:
-            zeros.append(p.position)
+            zeros.append((x, y))
     return zeros
 
 
@@ -279,26 +290,32 @@ def _strip_form(normal: Position, lo: Scalar, hi: Scalar) -> QForm3:
 # ---------------------------------------------------------------------------
 # 2-cells
 
-SIMPLEX_FACETS = ((Fraction(1), Fraction(0), Fraction(0)),
-                  (Fraction(0), Fraction(1), Fraction(0)),
-                  (Fraction(-1), Fraction(-1), Fraction(1)))
+# the facets t1 >= 0, t2 >= 0, t3 >= 0 of the unit simplex, as (a, b, c)
+SIMPLEX_FACETS = ((1, 0, 0), (0, 1, 0), (-1, -1, 1))
 
 
-def _clip(poly: list, a: Scalar, b: Scalar, c: Scalar) -> list:
-    """Keep the part of a convex polygon with a*t1 + b*t2 + c >= 0 (exact)."""
+def _clip(poly: list, a: int, b: int, c: int) -> list:
+    """Keep the part of a convex polygon with a*t1 + b*t2 + c >= 0 (exact).
+
+    Vertices are homogeneous int triples (X, Y, W) for (t1, t2) = (X, Y)/W,
+    with W > 0 and reduced by their gcd, so equal points are equal triples.
+    The value v = aX + bY + cW has the sign of the constraint, and a side pq
+    with values of opposite signs crosses the line at vp*q - vq*p.
+    """
     if not poly:
         return []
     out = []
-    vals = [a * p[0] + b * p[1] + c for p in poly]
+    vals = [a * X + b * Y + c * W for X, Y, W in poly]
     for i, p in enumerate(poly):
         j = (i + 1) % len(poly)
         vp, vq = vals[i], vals[j]
         if vp >= 0:
             out.append(p)
         if (vp > 0 and vq < 0) or (vp < 0 and vq > 0):
-            t = vp / (vp - vq)
             q = poly[j]
-            out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+            X, Y, W = (vp * u - vq * v for u, v in zip(q, p))
+            g = math.gcd(X, Y, W) if W > 0 else -math.gcd(X, Y, W)
+            out.append((X // g, Y // g, W // g))
     dedup = []
     for p in out:
         if not dedup or dedup[-1] != p:
@@ -308,18 +325,13 @@ def _clip(poly: list, a: Scalar, b: Scalar, c: Scalar) -> list:
     return dedup
 
 
-def _constraint(basis: NaturalBasis, z: Position) -> tuple:
-    """Linear form in (t1, t2) equal to q_t(z) after t3 = 1 - t1 - t2."""
-    vals = [d(lift(z)) for d in basis.forms]
-    return (vals[0] - vals[2], vals[1] - vals[2], vals[2])
-
-
 @dataclass
 class FeasibleRegion:
     polygon: list                 # (t1, t2) vertices, CCW from lex-min
+    vertices: list                # the same vertices as int (X, Y, W), W > 0
     basis: NaturalBasis
     chart: Chart                  # rebased at the triple's centroid
-    constraints: list             # (a, b, c, source position)
+    constraints: list             # (a, b, c, source position), a, b, c ints
     triple: tuple                 # positions, counterclockwise
 
 
@@ -330,6 +342,17 @@ def feasible_region(chart: Chart, Z,
     Re-bases the chart at the triangle centroid so the visibility region is
     the right one for subconics containing the triangle. With `equality` set,
     the region is further cut to the line q_t(equality) = 0.
+
+    Runs on ints. The basis form d_i is -lambda_j lambda_k, lambda being the
+    barycentric coordinates of the counterclockwise triple P (j, k the two
+    indices after i). In the int frame of the re-based window (positions
+    times L, the least common denominator of the visible positions),
+    Lambda_k(w) = cross(P_i, P_j, w) for the cyclic order (i, j, k) is an
+    int and a positive multiple of lambda_k(w), the same multiple for every
+    w. So each constraint (a, b, c) = (d1 - d3, d2 - d3, d3)(w) is an int
+    multiple of the rational one by a positive factor, and the clipped
+    polygon and its T-plane coordinates do not change. A cone point is
+    strictly inside the triangle iff its three Lambdas are positive.
     """
     Z = [tuple(p) for p in Z]
     if len(Z) != 3 or len(set(Z)) != 3:
@@ -351,33 +374,45 @@ def feasible_region(chart: Chart, Z,
                 f"{z} is not a visible cone point of the re-based chart")
     basis = natural_basis(Z)
     ccw = basis.ordering
-    for w in visible:
-        if w in (set(Z) | ({tuple(equality)} if equality else set())):
-            continue
-        if all(sign_of(cross(ccw[i], ccw[(i + 1) % 3], w)) > 0 for i in range(3)):
-            raise NotRealizable(
-                f"cone point {w} lies strictly inside the triangle {Z}")
-    poly = [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)),
-            (Fraction(0), Fraction(1))]
-    constraints = []
+    L = common_denominator(c for p in visible for c in p)
+    P = [(scaled_int(x, L), scaled_int(y, L)) for x, y in ccw]
+    # Lambda_k(X, Y) = u X + v Y + c = cross(P_{k+1}, P_{k+2}, (X, Y))
+    sides = []
+    for k in range(3):
+        (x1, y1), (x2, y2) = P[(k + 1) % 3], P[(k + 2) % 3]
+        sides.append((y1 - y2, x2 - x1, x1 * y2 - x2 * y1))
     zset = set(Z)
+    eq = tuple(equality) if equality is not None else None
+    rows = []
     for w in visible:
         if w in zset:
             continue
-        a, b, c = _constraint(basis, w)
+        X, Y = scaled_int(w[0], L), scaled_int(w[1], L)
+        l0, l1, l2 = (u * X + v * Y + c for u, v, c in sides)
+        if w != eq and l0 > 0 and l1 > 0 and l2 > 0:
+            raise NotRealizable(
+                f"cone point {w} lies strictly inside the triangle {Z}")
+        # (d1 - d3, d2 - d3, d3) with d_i = -Lambda_{i+1} Lambda_{i+2}
+        rows.append((l1 * (l0 - l2), l0 * (l1 - l2), -l0 * l1, w))
+    poly = [(0, 0, 1), (1, 0, 1), (0, 1, 1)]
+    constraints = []
+    for a, b, c, w in rows:
         if a == 0 and b == 0 and c == 0:
             continue
         constraints.append((a, b, c, w))
-        if equality is not None and w == tuple(equality):
+        if w == eq:
             poly = _clip(poly, -a, -b, -c)
         poly = _clip(poly, a, b, c)
         if not poly:
             break
-    if equality is not None and tuple(equality) not in vis_set:
+    if eq is not None and eq not in vis_set:
         raise NotRealizable(f"{equality} is not a visible cone point")
-    if poly:
-        poly = convex_hull_ccw(poly) if len(poly) >= 3 else poly
-    return FeasibleRegion(poly, basis, ch, constraints, ccw)
+    points = {(Fraction(X, W), Fraction(Y, W)): (X, Y, W) for X, Y, W in poly}
+    polygon = list(points)
+    if len(polygon) >= 3:
+        polygon = convex_hull_ccw(polygon)
+    return FeasibleRegion(polygon, [points[p] for p in polygon], basis, ch,
+                          constraints, ccw)
 
 
 def _area2(poly) -> Scalar:
@@ -430,15 +465,19 @@ def two_cell(chart: Chart, Z) -> TwoCell:
             f"{sample.kind.value}; enlarge the window")
 
     n = len(poly)
+    hverts = region.vertices
     edge_quads = []
     for i in range(n):
         p, q = poly[i], poly[(i + 1) % n]
+        (pX, pY, pW), (qX, qY, qW) = hverts[i], hverts[(i + 1) % n]
+
+        def on_side(a, b, c):
+            return (a * pX + b * pY + c * pW == 0
+                    and a * qX + b * qY + c * qW == 0)
+
         supporters = [w for (a, b, c, w) in region.constraints
-                      if a * p[0] + b * p[1] + c == 0
-                      and a * q[0] + b * q[1] + c == 0]
-        on_facet = any(a * p[0] + b * p[1] + c == 0
-                       and a * q[0] + b * q[1] + c == 0
-                       for (a, b, c) in SIMPLEX_FACETS)
+                      if on_side(a, b, c)]
+        on_facet = any(on_side(*facet) for facet in SIMPLEX_FACETS)
         if on_facet:
             flags.append(f"side {i} lies on the simplex boundary")
             edge_quads.append(None)
@@ -642,15 +681,21 @@ class CellComplexWindow:
     exhausted: bool      # True when no frontier remained within the budget
 
 
-def build_complex(chart: Chart, seed, budget: int = 20) -> CellComplexWindow:
+def build_complex(chart: Chart, seed=None,
+                  budget: int = 20) -> CellComplexWindow:
     """Breadth-first exploration of 2-cells from a seed triple.
 
     Crossing a boundary 1-cell leads to the other realizable triples inside
     its quadruple. The frontier is expanded in canonical key order, so the
-    result is deterministic for a given chart, seed and budget.
+    result is deterministic for a given chart, seed and budget. With seed
+    None the seed is `default_seed`'s triple, and the cell its scan built is
+    the first cell.
     """
+    if seed is None:
+        seed, first = _default_seed_cell(chart)
+    else:
+        first = two_cell(chart, seed)  # raises NotRealizable for bad seeds
     seed_key = _pos_key(seed)
-    first = two_cell(chart, seed)  # raises NotRealizable for bad seeds
     cells = {seed_key: first}
     edges: dict = {}
     vertices: dict = {}
@@ -697,14 +742,18 @@ def default_seed(chart: Chart) -> tuple:
     Candidates are scanned in (distance, position) order over the eight
     nearest points, so the choice is deterministic for a given chart.
     """
+    return _default_seed_cell(chart)[0]
+
+
+def _default_seed_cell(chart: Chart) -> tuple:
+    """`default_seed`'s triple, in scan order, and its 2-cell."""
     pts = [d.position for d in sorted(
         chart.points, key=lambda d: (dist2(d.position, chart.base), d.position))]
     for triple in combinations(pts[:8], 3):
         try:
-            two_cell(chart, triple)
+            return triple, two_cell(chart, triple)
         except (NotRealizable, WindowTooSmall, CollinearTripleError):
             continue
-        return triple
     raise NotRealizable("no realizable triple among the points nearest "
                         "the base")
 
@@ -1024,10 +1073,7 @@ def complex_to_json(window: CellComplexWindow) -> str:
         else:
             entry["boundary"] = [[_pos_json(p) for p in line]
                                  for line in U.boundary]
-        try:
-            entry["h_point"] = str(h_point(U.subconic))
-        except ValueError:
-            pass
+        entry["h_point"] = str(h_point(U.subconic))
         verts.append(entry)
     edges = []
     for key in sorted(window.edges):

@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from .cellcomplex import (NotRealizable, WindowTooSmall, build_complex,
-                          complex_to_json, default_seed)
+                          complex_to_json)
 from .linalg import fraction_str
 from .render import render_svg
 from .surface import SurfaceError, develop, parse_surface
@@ -94,8 +94,7 @@ def cmd_develop(args) -> int:
 def cmd_complex(args) -> int:
     surface = _load_surface(args.surface)
     chart = develop(surface, base=args.base, radius=args.radius)
-    seed = args.seed if args.seed else default_seed(chart)
-    window = build_complex(chart, seed, budget=args.budget)
+    window = build_complex(chart, args.seed, budget=args.budget)
     _emit(args, complex_to_json(window) + "\n")
     return 0
 
@@ -116,9 +115,8 @@ def cmd_rebuild(args) -> int:
     target = _load_surface(args.target)
     chart_a = develop(source, radius=args.radius)
     chart_b = develop(target, radius=args.radius)
-    A = build_complex(chart_a, default_seed(chart_a), budget=args.budget)
-    B = build_complex(chart_b, default_seed(chart_b),
-                      budget=args.target_budget or args.budget)
+    A = build_complex(chart_a, budget=args.budget)
+    B = build_complex(chart_b, budget=args.target_budget or args.budget)
     rec, phi = discover_affine(A, B)
     if rec.homothety is None:   # irrational: g / sqrt(det g)
         root = f"sqrt({fraction_str(rec.det)})"
@@ -137,8 +135,7 @@ def cmd_rebuild(args) -> int:
 def cmd_tessellate(args) -> int:
     surface = _load_surface(args.surface)
     chart = develop(surface, base=args.base, radius=args.radius)
-    seed = args.seed if args.seed else default_seed(chart)
-    window = build_complex(chart, seed, budget=args.budget)
+    window = build_complex(chart, args.seed, budget=args.budget)
     tess = tessellate(window)
     if args.svg:
         svg = render_svg(tess, model=args.model, horizon=args.horizon)

@@ -23,17 +23,13 @@ def sign_of(x: Scalar) -> int:
 
 def common_denominator(values: Iterable[Scalar]) -> int:
     """Least common denominator of the scalars (floats taken exactly)."""
-    den = 1
-    for v in values:
-        d = Fraction(v).denominator
-        den = den * d // math.gcd(den, d)
-    return den
+    return math.lcm(*(v.as_integer_ratio()[1] for v in values))
 
 
 def scaled_int(x: Scalar, L: int) -> int:
     """x * L for an x whose denominator divides L."""
-    f = Fraction(x)
-    return f.numerator * (L // f.denominator)
+    n, d = x.as_integer_ratio()
+    return n * (L // d)
 
 
 def primitive(x: int, y: int) -> tuple[int, int]:
@@ -49,7 +45,7 @@ def fraction_str(x: Scalar) -> str:
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
-def _clear_denominators(row: Sequence[Scalar]) -> list[int]:
+def clear_denominators(row: Sequence[Scalar]) -> list[int]:
     """The row times the least common denominator of its entries, as ints."""
     ratios = [v.as_integer_ratio() for v in row]
     den = math.lcm(*(d for _, d in ratios))
@@ -63,7 +59,7 @@ def nullspace(rows: Sequence[Sequence[Scalar]],
     Fraction-free (Bareiss) elimination with full pivoting on the rows
     cleared of denominators.
     """
-    mat = [_clear_denominators(r) for r in rows if any(r)]
+    mat = [clear_denominators(r) for r in rows if any(r)]
     if not mat:
         return [tuple(Fraction(int(i == j)) for j in range(width)) for i in range(width)]
     m = len(mat)
@@ -157,12 +153,12 @@ def symmetric_signature(gram: Sequence[Sequence[Scalar]]) -> tuple[int, int, int
     """
     n = len(gram)
     if n == 2:
-        a, b, c = _clear_denominators((gram[0][0], gram[0][1], gram[1][1]))
+        a, b, c = clear_denominators((gram[0][0], gram[0][1], gram[1][1]))
         # char poly x^2 - (a+c) x + (ac - b^2)
         return real_rooted_signs([1, -(a + c), a * c - b * b])
     if n == 3:
         # [[a, b, c], [b, d, e], [c, e, f]]
-        a, b, c, d, e, f = _clear_denominators(
+        a, b, c, d, e, f = clear_denominators(
             (gram[0][0], gram[0][1], gram[0][2],
              gram[1][1], gram[1][2], gram[2][2]))
         tr = a + d + f

@@ -10,7 +10,7 @@ Everything here is exact. Parsing makes every file number a Fraction, and
 polygons, gluings and the returned charts hold Fractions. Cone angles are
 counted on directions by exact orientation tests, and the immersion
 certificate `subconic_fits` decides its window bound by squaring out the
-square roots. The unfolding
+square roots and scans the visible points on ints. The unfolding
 (`develop`, `locate`, and so `rebase`) runs in a per-call integer frame:
 coordinates are scaled by the least common denominator of the vertices and
 the base point (or the located position) and translated to that point, so
@@ -25,12 +25,12 @@ import enum
 import json
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .linalg import (Scalar, common_denominator, cross, fraction_str,
-                     primitive, scaled_int, sign_of)
+from .linalg import (Scalar, clear_denominators, common_denominator, cross,
+                     fraction_str, primitive, scaled_int, sign_of)
 from .quadform import QForm3, ellipse_center, lift
 
 Point = tuple[Scalar, Scalar]
@@ -600,13 +600,25 @@ class Fit(enum.Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-def ray_meets_sublevel(q: QForm3, base: Point, through: Point) -> bool:
-    """Does {q <= 0} meet the open ray from `base` through `through`, strictly
-    beyond `through`? Exact quadratic case analysis in the ray parameter."""
-    d = _sub(through, base)
-    alpha = q((d[0], d[1], 0))
-    beta = 2 * q.pair(lift(base), (d[0], d[1], 0))
-    gamma = q(lift(base))
+def _int_form(q: QForm3, origin: Point) -> QForm3:
+    """q moved to `origin` and cleared of denominators: the int form
+    u -> k q(origin + u) for some k > 0.
+
+    In an int frame of scale L around the origin, the point origin + (X, Y)/L
+    has q-value of the sign of this form at (X, Y, L), since the form is
+    homogeneous of degree 2 and k L^2 > 0.
+    """
+    (a, b), (_, c) = q.gram_restriction()
+    ox, oy = origin
+    d = a * ox + b * oy + q.a13
+    e = b * ox + c * oy + q.a23
+    return QForm3(*clear_denominators((a, c, q(lift(origin)), b, d, e)))
+
+
+def _meets_beyond(alpha, beta, gamma) -> bool:
+    """Is g(t) = alpha t^2 + beta t + gamma <= 0 for some t > 1? Exact case
+    analysis; the answer does not change when all three scale by one
+    positive factor."""
     sa = sign_of(alpha)
     if sa < 0:
         return True
@@ -629,29 +641,42 @@ def subconic_fits(chart: Chart, q: QForm3) -> Fit:
 
     The window can only certify an ellipse that the conservative bound
     |centre - base| + semi-major axis < R keeps inside it; any other ellipse
-    is INCONCLUSIVE. The bound is decided exactly. With the restriction
-    [[a, b], [b, c]], kappa = -q(centre), t = a + c, delta = ac - b^2,
-    D = t^2 - 4 delta and beta = kappa / (2 delta), the squared semi-major
-    axis is beta t + beta sqrt(D), and with d = |centre - base|^2 the bound
-    holds iff d < R^2 and R^2 + d - beta t > beta sqrt(D) + 2 R sqrt(d),
+    is INCONCLUSIVE. The bound is decided exactly, in Fractions. With the
+    restriction [[a, b], [b, c]], kappa = -q(centre), t = a + c,
+    delta = ac - b^2, D = t^2 - 4 delta and k = kappa / (2 delta), the
+    squared semi-major axis is k t + k sqrt(D), and with d = |centre - base|^2
+    the bound holds iff d < R^2 and R^2 + d - k t > k sqrt(D) + 2 R sqrt(d),
     which squaring twice turns into the rational tests below.
+
+    The point scan runs in the int frame of the base: with L the least
+    common denominator of the base and the visible positions, each visible
+    point is base + (X, Y)/L, and q moved to the base (`_int_form`) gives
+    the values alpha, beta, gamma of q along the ray base + t (X, Y)/L as
+    ints, all scaled by one positive factor. A point fails the certificate
+    when q is negative there (g(1) < 0) or when {q <= 0} meets its ray
+    strictly beyond it (`_meets_beyond`).
     """
     (a, b), (_, c) = q.gram_restriction()
     center = ellipse_center(q)
     d = dist2(center, chart.base)
     t, delta = a + c, a * c - b * b
     D = t * t - 4 * delta
-    beta = -q(lift(center)) / (2 * delta)
+    k = -q(lift(center)) / (2 * delta)
     r2 = chart.radius ** 2
-    x = r2 + d - beta * t
-    y = x * x - beta * beta * D - 4 * r2 * d
-    if not (d < r2 and x > 0 and y > 0
-            and y * y > 16 * beta * beta * r2 * D * d):
+    x = r2 + d - k * t
+    y = x * x - k * k * D - 4 * r2 * d
+    if not (d < r2 and x > 0 and y > 0 and y * y > 16 * k * k * r2 * D * d):
         return Fit.INCONCLUSIVE
+    L = common_denominator([*chart.base, *(v for p in chart.points
+                                            for v in p.position)])
+    bx, by = (scaled_int(v, L) for v in chart.base)
+    qi = _int_form(q, chart.base)
+    gamma = qi.a33 * L * L
     for p in chart.points:
-        if q(lift(p.position)) < 0:
-            return Fit.NO
-    for p in chart.points:
-        if ray_meets_sublevel(q, chart.base, p.position):
+        X = scaled_int(p.position[0], L) - bx
+        Y = scaled_int(p.position[1], L) - by
+        alpha = qi((X, Y, 0))
+        beta = 2 * L * (qi.a13 * X + qi.a23 * Y)
+        if alpha + beta + gamma < 0 or _meets_beyond(alpha, beta, gamma):
             return Fit.NO
     return Fit.YES

@@ -19,7 +19,7 @@ from .cellcomplex import (CellComplexWindow, CellMatching, _face_id,
                           rigid_conics)
 from .geom import class_key, h_point
 from .linalg import apply_affine, convex_hull_ccw
-from .quadform import canonical_scale, transform_by_affine
+from .quadform import transform_by_affine
 from .surface import Chart, SurfaceDesc, develop, dist2
 
 

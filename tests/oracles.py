@@ -2,10 +2,11 @@
 
 Everything here goes through numpy least-squares / SVD on the raw monomial
 matrix rather than the package's pencil arithmetic, so agreement between the
-two routes is meaningful evidence. The reference unfolding, rigid conics
-and Veech check at the end are the plain Fraction implementations that the
-integer-frame `develop` and `rigid_conics`, and `veech_check`, must match
-exactly.
+two routes is meaningful evidence. The reference unfolding, rigid conics,
+Veech check, 2-cell constraints and clipping, and window scans at the end are
+the plain Fraction implementations that the integer-frame `develop`,
+`rigid_conics`, `feasible_region`, `_window_zeros` and `subconic_fits`, and
+`veech_check`, must match exactly.
 """
 
 from collections import deque
@@ -491,3 +492,159 @@ def reference_veech_check(surface, g, radius=6, chart=None, conics=None):
                             f"{len(safe_conics)} rigid conic classes matched")
     return VeechVerdict("rejected", radius, None, len(safe_pts),
                         best_detail)
+
+
+# ---------------------------------------------------------------------------
+# reference 2-cell constraints, clipping and window scans: the Fraction code
+# that the int constraints and homogeneous clipping of
+# `cellcomplex.feasible_region`, the int `cellcomplex._window_zeros` and the
+# int point scan of `surface.subconic_fits` must match. The reference region
+# lists its vertices as (t1, t2, 1), so `two_cell` can build a cell on it.
+
+def reference_clip(poly, a, b, c):
+    """Keep the part of a convex polygon with a*t1 + b*t2 + c >= 0 (exact)."""
+    if not poly:
+        return []
+    out = []
+    vals = [a * p[0] + b * p[1] + c for p in poly]
+    for i, p in enumerate(poly):
+        j = (i + 1) % len(poly)
+        vp, vq = vals[i], vals[j]
+        if vp >= 0:
+            out.append(p)
+        if (vp > 0 and vq < 0) or (vp < 0 and vq > 0):
+            t = vp / (vp - vq)
+            q = poly[j]
+            out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+    dedup = []
+    for p in out:
+        if not dedup or dedup[-1] != p:
+            dedup.append(p)
+    if len(dedup) > 1 and dedup[0] == dedup[-1]:
+        dedup.pop()
+    return dedup
+
+
+def reference_constraint(basis, z):
+    """Linear form in (t1, t2) equal to q_t(z) after t3 = 1 - t1 - t2."""
+    from flatconic.quadform import lift
+    vals = [d(lift(z)) for d in basis.forms]
+    return (vals[0] - vals[2], vals[1] - vals[2], vals[2])
+
+
+def reference_feasible_region(chart, Z, equality=None):
+    from flatconic.cellcomplex import (FeasibleRegion, NotRealizable,
+                                       WindowTooSmall)
+    from flatconic.linalg import convex_hull_ccw, cross, sign_of
+    from flatconic.quadform import natural_basis
+    from flatconic.surface import SurfaceError, rebase
+    Z = [tuple(p) for p in Z]
+    if len(Z) != 3 or len(set(Z)) != 3:
+        raise ValueError("need 3 distinct points")
+    centroid = (sum(Fraction(p[0]) for p in Z) / 3,
+                sum(Fraction(p[1]) for p in Z) / 3)
+    if sign_of(cross(Z[0], Z[1], Z[2])) == 0:
+        raise NotRealizable(f"collinear triple {Z}")
+    try:
+        ch = rebase(chart, centroid)
+    except SurfaceError as exc:
+        raise WindowTooSmall(
+            f"cannot re-base at the centroid of {Z}: {exc}") from exc
+    visible = [p.position for p in ch.points]
+    vis_set = set(visible)
+    for z in Z:
+        if z not in vis_set:
+            raise NotRealizable(
+                f"{z} is not a visible cone point of the re-based chart")
+    basis = natural_basis(Z)
+    ccw = basis.ordering
+    for w in visible:
+        if w in (set(Z) | ({tuple(equality)} if equality else set())):
+            continue
+        if all(sign_of(cross(ccw[i], ccw[(i + 1) % 3], w)) > 0 for i in range(3)):
+            raise NotRealizable(
+                f"cone point {w} lies strictly inside the triangle {Z}")
+    poly = [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)),
+            (Fraction(0), Fraction(1))]
+    constraints = []
+    zset = set(Z)
+    for w in visible:
+        if w in zset:
+            continue
+        a, b, c = reference_constraint(basis, w)
+        if a == 0 and b == 0 and c == 0:
+            continue
+        constraints.append((a, b, c, w))
+        if equality is not None and w == tuple(equality):
+            poly = reference_clip(poly, -a, -b, -c)
+        poly = reference_clip(poly, a, b, c)
+        if not poly:
+            break
+    if equality is not None and tuple(equality) not in vis_set:
+        raise NotRealizable(f"{equality} is not a visible cone point")
+    if poly:
+        poly = convex_hull_ccw(poly) if len(poly) >= 3 else poly
+    return FeasibleRegion(poly, [(t1, t2, 1) for t1, t2 in poly], basis, ch,
+                          constraints, ccw)
+
+
+def reference_window_zeros(chart, q):
+    from flatconic.linalg import sign_of
+    from flatconic.quadform import lift
+    zeros = []
+    for p in chart.window_points:
+        s = sign_of(q(lift(p.position)))
+        if s < 0:
+            return None
+        if s == 0:
+            zeros.append(p.position)
+    return zeros
+
+
+def reference_ray_meets_sublevel(q, base, through):
+    """Does {q <= 0} meet the open ray from `base` through `through`, strictly
+    beyond `through`? Exact quadratic case analysis in the ray parameter."""
+    from flatconic.linalg import sign_of
+    from flatconic.quadform import lift
+    d = _ref_sub(through, base)
+    alpha = q((d[0], d[1], 0))
+    beta = 2 * q.pair(lift(base), (d[0], d[1], 0))
+    gamma = q(lift(base))
+    sa = sign_of(alpha)
+    if sa < 0:
+        return True
+    if sa > 0:
+        tstar_num, tstar_den = -beta, 2 * alpha  # t* = -beta / 2 alpha
+        if tstar_num > tstar_den:  # t* > 1
+            return 4 * alpha * gamma - beta * beta <= 0
+        return alpha + beta + gamma < 0  # g(1) < 0
+    sb = sign_of(beta)
+    if sb < 0:
+        return True
+    if sb > 0:
+        return beta + gamma < 0
+    return gamma <= 0
+
+
+def reference_subconic_fits(chart, q):
+    from flatconic.quadform import ellipse_center, lift
+    from flatconic.surface import Fit, dist2
+    (a, b), (_, c) = q.gram_restriction()
+    center = ellipse_center(q)
+    d = dist2(center, chart.base)
+    t, delta = a + c, a * c - b * b
+    D = t * t - 4 * delta
+    beta = -q(lift(center)) / (2 * delta)
+    r2 = chart.radius ** 2
+    x = r2 + d - beta * t
+    y = x * x - beta * beta * D - 4 * r2 * d
+    if not (d < r2 and x > 0 and y > 0
+            and y * y > 16 * beta * beta * r2 * D * d):
+        return Fit.INCONCLUSIVE
+    for p in chart.points:
+        if q(lift(p.position)) < 0:
+            return Fit.NO
+    for p in chart.points:
+        if reference_ray_meets_sublevel(q, chart.base, p.position):
+            return Fit.NO
+    return Fit.YES

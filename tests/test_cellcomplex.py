@@ -1,11 +1,15 @@
 """Rigid conics, two-cells, links, window complexes, and cell matchings."""
 
 import dataclasses
+import functools
 import json
+import math
 import numbers
 from collections import Counter
 from fractions import Fraction as F
+from itertools import combinations
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -13,13 +17,16 @@ from hypothesis import strategies as st
 
 import oracles
 
+from flatconic import cellcomplex
 from flatconic.cellcomplex import (
     CellMatching,
     NotRealizable,
     WindowTooSmall,
+    _window_zeros,
     build_complex,
     complex_to_json,
     default_seed,
+    feasible_region,
     follows,
     frontier_bijection,
     link,
@@ -29,10 +36,12 @@ from flatconic.cellcomplex import (
     rigid_conics,
     two_cell,
 )
+from flatconic.linalg import cross
 from flatconic.models import square_torus, two_marked_torus
-from flatconic.quadform import canonical_scale
+from flatconic.quadform import QForm3, canonical_scale, ellipse_center, from_poly
 from flatconic.subconic import SubconicKind, contains
-from flatconic.surface import develop, parse_surface
+from flatconic.surface import (SurfaceError, develop, dist2, parse_surface,
+                               rebase, subconic_fits)
 
 SEED = ((0, 0), (0, 1), (1, 0))
 
@@ -368,3 +377,180 @@ def test_complex_and_rigid_conics_hold_only_ints_and_fractions(name, request):
     conics = rigid_conics(chart)
     assert conics and window.vertices
     assert {type(x) for x in _numbers((window, conics))} <= {int, F}
+
+
+# ---------------------------------------------------------------------------
+# int constraints, homogeneous clipping and int window scans against the
+# Fraction reference in oracles.py
+
+@functools.lru_cache(maxsize=None)
+def cached_chart(spec, base, radius):
+    return develop(rigid_surface(spec), base, radius)
+
+
+@st.composite
+def chart_cases(draw):
+    """(surface spec, base or None, radius): a stock model from a base of
+    denominator <= 8, a two-marked torus with marked point of denominators
+    2-5, or the stretched L, at R2 or R3."""
+    family = draw(st.sampled_from(["stock", "marked", "stretched_l"]))
+    radius = F(draw(st.sampled_from([2, 3])))
+    if family == "marked":
+        m = tuple(draw(st.builds(F, st.integers(1, 4), st.integers(2, 5))
+                       .filter(lambda f: f < 1)) for _ in range(2))
+        return ("marked", m), None, radius
+    if family == "stretched_l":
+        return ("stretched_l",), None, radius
+    name = draw(st.sampled_from(sorted(STOCK)))
+    pid, verts = draw(st.sampled_from(STOCK[name].polygons))
+    x = draw(st.fractions(min(v[0] for v in verts), max(v[0] for v in verts),
+                          max_denominator=8))
+    y = draw(st.fractions(min(v[1] for v in verts), max(v[1] for v in verts),
+                          max_denominator=8))
+    assume((x, y) not in verts
+           and oracles.reference_point_in_polygon((x, y), verts) >= 0)
+    return ("stock", name), (pid, (x, y)), radius
+
+
+@st.composite
+def point_cases(draw, k):
+    """A chart case and k distinct visible points among the ten nearest the
+    base, no three collinear."""
+    spec, base, radius = draw(chart_cases())
+    chart = cached_chart(spec, base, radius)
+    near = sorted((p.position for p in chart.points),
+                  key=lambda p: (dist2(p, chart.base), p))[:10]
+    assume(len(near) >= k)
+    pts = draw(st.lists(st.sampled_from(near), min_size=k, max_size=k,
+                        unique=True))
+    assume(all(cross(*t) != 0 for t in combinations(pts, 3)))
+    return spec, base, radius, tuple(pts)
+
+
+def _region_outcome(fn, *args):
+    try:
+        return ("ok", fn(*args))
+    except (NotRealizable, WindowTooSmall) as e:
+        return (type(e).__name__, str(e))
+
+
+def _reference_two_cell(chart, Z):
+    # `two_cell` building its cell on the reference region
+    with mock.patch.object(cellcomplex, "feasible_region",
+                           oracles.reference_feasible_region):
+        return _region_outcome(two_cell, chart, Z)
+
+
+def _positive_multiple(row, ref) -> bool:
+    ratios = {F(u) / v for u, v in zip(row, ref) if v != 0}
+    return (all(u == 0 for u, v in zip(row, ref) if v == 0)
+            and len(ratios) == 1 and ratios.pop() > 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(point_cases(3))
+@example((("stock", "torus"), None, F(6), SEED))
+# (1, 0) lies on a side of the triangle, not strictly inside it
+@example((("stock", "torus"), None, F(3), ((0, 0), (2, 0), (0, 2))))
+def test_int_two_cells_match_the_fraction_reference(case):
+    spec, base, radius, Z = case
+    chart = cached_chart(spec, base, radius)
+    got = _region_outcome(feasible_region, chart, Z)
+    ref = _region_outcome(oracles.reference_feasible_region, chart, Z)
+    if got[0] != "ok" or ref[0] != "ok":
+        assert got == ref
+    else:
+        got, ref = got[1], ref[1]
+        assert (got.polygon, got.basis, got.chart, got.triple) == \
+            (ref.polygon, ref.basis, ref.chart, ref.triple)
+        assert repr(got.polygon) == repr(ref.polygon)
+        assert [(F(X, W), F(Y, W)) for X, Y, W in got.vertices] == got.polygon
+        assert all(W > 0 and math.gcd(X, Y, W) == 1 for X, Y, W in got.vertices)
+        assert [c[3] for c in got.constraints] == [c[3] for c in ref.constraints]
+        assert all(type(x) is int for c in got.constraints for x in c[:3])
+        assert all(_positive_multiple(c[:3], r[:3])
+                   for c, r in zip(got.constraints, ref.constraints))
+    cell, ref_cell = _region_outcome(two_cell, chart, Z), _reference_two_cell(chart, Z)
+    assert cell == ref_cell
+    assert repr(cell) == repr(ref_cell)
+
+
+@settings(max_examples=40, deadline=None)
+@given(point_cases(4))
+@example((("stock", "torus"), None, F(6), ((0, 0), (1, 0), (1, 1), (0, 1))))
+@example((("marked", (F(1, 3), F(1, 3))), None, F(2),
+          ((F(-1), F(0)), (F(-2, 3), F(1, 3)), (F(0), F(0)), (F(1, 3), F(1, 3)))))
+def test_realizable_quadruples_match_the_fraction_reference(case):
+    # `equality` clipping: every triple of the quadruple is cut to the line
+    # through the fourth point
+    spec, base, radius, Z4 = case
+    chart = cached_chart(spec, base, radius)
+    with mock.patch.object(cellcomplex, "feasible_region",
+                           oracles.reference_feasible_region):
+        ref = _region_outcome(realizable_quadruple, chart, Z4)
+    assert _region_outcome(realizable_quadruple, chart, Z4) == ref
+
+
+RIGID_CASES = ((("marked", (F(1, 3), F(1, 3))), None, F(2)),
+               (("marked", (F(1, 3), F(1, 5))), None, F(2)),
+               (("stock", "two_marked_torus"), None, F(2)))
+
+
+@functools.lru_cache(maxsize=None)
+def cached_ellipses(case):
+    return tuple(u.subconic.form for u in rigid_conics(cached_chart(*case))
+                 if u.kind is SubconicKind.ELLIPSE_INTERIOR)
+
+
+@st.composite
+def window_scan_cases(draw):
+    """(chart case, form, recentre): an ellipse of `rigid_conics`, or an
+    ellipse through one of the six visible cone points nearest the base,
+    centred within 1/2 of the base;
+    with recentre set the chart is re-based at the centre, as
+    `_ellipse_rigid` does."""
+    if draw(st.booleans()):
+        case = draw(st.sampled_from(RIGID_CASES))
+        forms = cached_ellipses(case)
+        assume(forms)
+        q = draw(st.sampled_from(forms))
+    else:
+        case = draw(chart_cases())
+        chart = cached_chart(*case)
+        p = draw(st.sampled_from(sorted(
+            chart.points, key=lambda p: (dist2(p.position, chart.base),
+                                         p.position))[:6]))
+        offset = st.fractions(F(-1, 2), F(1, 2), max_denominator=12)
+        c = (chart.base[0] + draw(offset), chart.base[1] + draw(offset))
+        m11 = draw(st.fractions(F(1, 4), 4, max_denominator=6))
+        m22 = draw(st.fractions(F(1, 4), 4, max_denominator=6))
+        m12 = draw(st.fractions(-2, 2, max_denominator=6))
+        assume(m11 * m22 > m12 * m12)
+
+        def m(u):
+            return m11 * u[0] * u[0] + 2 * m12 * u[0] * u[1] + m22 * u[1] * u[1]
+
+        k = m((p.position[0] - c[0], p.position[1] - c[1]))
+        assume(k > 0)
+        q = QForm3(m11, m22, m(c) - k, m12, -(m11 * c[0] + m12 * c[1]),
+                   -(m12 * c[0] + m22 * c[1]))
+    return case, q, draw(st.booleans())
+
+
+@settings(max_examples=60, deadline=None)
+@given(window_scan_cases())
+# the chart lists a cone point at its own base (see CHANGES): the ray from
+# the base to it has alpha = 0, and the circle of radius 1/20 about
+# (21/10, 1/10) beside it fits
+@example(((("stretched_l",), ("p0", (F(2), F(0))), F(4)),
+          from_poly(1, 0, 1, F(-21, 5), F(-1, 5), F(1767, 400)), False))
+def test_int_window_scans_match_the_fraction_reference(case):
+    chart_case, q, recentre = case
+    chart = cached_chart(*chart_case)
+    assert _window_zeros(chart, q) == oracles.reference_window_zeros(chart, q)
+    if recentre:
+        try:
+            chart = rebase(chart, ellipse_center(q))
+        except SurfaceError:
+            return
+    assert subconic_fits(chart, q) is oracles.reference_subconic_fits(chart, q)

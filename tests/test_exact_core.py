@@ -41,6 +41,24 @@ def test_no_module_imports_scipy():
     assert [n for n in names if "scipy" in _top_level_imports(n)] == []
 
 
+MODULES = sorted(m.name for m in pkgutil.iter_modules(flatconic.__path__))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_modules_use_every_top_level_import(name):
+    # the package `__init__` is not a module here: its imports are re-exports
+    tree = ast.parse(inspect.getsource(importlib.import_module(f"flatconic.{name}")))
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound.update({(a.asname or a.name.split(".")[0]): node.lineno
+                          for a in node.names})
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update({(a.asname or a.name): node.lineno for a in node.names})
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    assert sorted(n for n in bound if n not in used) == []
+
+
 @pytest.mark.parametrize("name", EXACT)
 def test_exact_modules_take_no_tolerance(name):
     module = importlib.import_module(f"flatconic.{name}")

@@ -1,6 +1,8 @@
 """Affine recovery, windowed Veech membership, and tessellation output."""
 
 import functools
+import sys
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 
+from flatconic import veech
 from flatconic.cellcomplex import build_complex, matching_from_affine, rigid_conics
 from flatconic.geom import INFINITY, class_key, h_point, mobius
 from flatconic.models import l_shape, square_torus, two_marked_torus
@@ -114,6 +117,28 @@ def test_discover_affine_prefers_the_presented_map():
     assert rec.homothety == 1
     assert rec.translation == (F(0), F(0))
     assert phi.faces
+
+
+def test_discover_affine_meets_candidates_in_sorted_order(monkeypatch):
+    # ties between certified maps are broken by the order of discovery:
+    # pairs of 1-cells in sorted (A, B) order, each sending the A 1-cell onto
+    # the 4 cyclic rotations of the B 1-cell in sorted order of the images
+    A = build_complex(develop(square_torus(), radius=2), budget=3)
+    B = build_complex(develop(square_torus().mapped(T), radius=2), budget=5)
+    calls = []
+
+    def record(Z, Zp):
+        if sys._getframe(1).f_code.co_name == "discover_affine":
+            calls.append((tuple(Z), tuple(sorted(Zp)), tuple(Zp)))
+        return psi_of_quadruple(Z, Zp)
+
+    monkeypatch.setattr(veech, "psi_of_quadruple", record)
+    rec, _ = discover_affine(A, B)
+    assert rec.linear == T and rec.translation == (0, 0)
+    assert calls == sorted(calls)
+    pairs = Counter((qa, qb) for qa, qb, _ in calls)
+    assert set(pairs) == {(qa, qb) for qa in A.edges for qb in B.edges}
+    assert set(pairs.values()) == {4}
 
 
 def test_shear_is_a_member_in_window(torus_chart, torus_conics):
