@@ -20,6 +20,11 @@ tests are exact, since the boundary points of an ellipse are in strictly
 convex position and a point strictly inside their hull is strictly inside the
 ellipse. Strips come from consecutive int levels along the normal of each
 swept direction.
+
+Two windows are matched under an affine map on the int view of each window
+(`CellComplexWindow.ints`), built once per window: candidate maps are vetted
+on ints in each window's frame, and only what a caller reads goes back to
+positions.
 """
 
 from __future__ import annotations
@@ -27,16 +32,18 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
 from .geom import h_point
-from .linalg import (Scalar, apply_affine, common_denominator, convex_hull_ccw,
-                     cross, dot2, fraction_str, primitive, scaled_int, sign_of)
+from .linalg import (Scalar, clear_denominators, common_denominator,
+                     convex_hull_ccw, cross, dot2, fraction_str, primitive,
+                     scaled_int, sign_of)
 from .quadform import (CollinearTripleError, NaturalBasis, QForm3,
                        canonical_scale, combine, ellipse_center,
-                       natural_basis, transform_by_affine)
+                       natural_basis)
 from .subconic import (Subconic, SubconicKind, classify, conic_through_five,
                        strip_direction, subconic)
 from .surface import (Chart, Fit, SurfaceError, _int_form, dist2, rebase,
@@ -81,7 +88,12 @@ class RigidConic:
         return _pos_key(self.boundary_points())
 
     def successor(self) -> dict:
-        """The next-point-along-the-boundary map (partial at window ends)."""
+        """The next-point-along-the-boundary map (partial at window ends).
+        Built once per conic and shared: callers must not modify it."""
+        return self._successor
+
+    @cached_property
+    def _successor(self) -> dict:
         succ = {}
         if self.kind is SubconicKind.ELLIPSE_INTERIOR:
             cyc = self.boundary
@@ -364,6 +376,10 @@ def feasible_region(chart: Chart, Z,
     try:
         ch = rebase(chart, centroid)
     except SurfaceError as exc:
+        # the centroid lies strictly inside the triangle
+        if any(p.position == centroid for p in chart.window_points):
+            raise NotRealizable(f"cone point {centroid} lies strictly inside "
+                                f"the triangle {Z}") from exc
         raise WindowTooSmall(
             f"cannot re-base at the centroid of {Z}: {exc}") from exc
     visible = [p.position for p in ch.points]
@@ -559,9 +575,9 @@ def realizable_quadruple(chart: Chart, Z4) -> bool:
     return False
 
 
-def _anchor_reps(U: RigidConic, quad: set) -> list:
-    """Ordered anchor pairs (x, y) with quad = {x, s(x)} | {y, s(y)}."""
-    succ = U.successor()
+def _anchor_reps(succ: dict, quad: set) -> list:
+    """Ordered anchor pairs (x, y) with quad = {x, s(x)} | {y, s(y)}, s the
+    successor map `succ`."""
     reps = []
     for x in quad:
         sx = succ.get(x)
@@ -604,12 +620,12 @@ def follows(U: RigidConic, Zq1, Zq2) -> bool:
     if len(q1 & q2) != 3:
         raise ValueError("quadruples do not share a triple")
     shared = q1 & q2
-    if not _anchor_reps(U, q1) or not _anchor_reps(U, q2):
-        raise ValueError("not realizable quadruples of U")
     succ = U.successor()
+    if not _anchor_reps(succ, q1) or not _anchor_reps(succ, q2):
+        raise ValueError("not realizable quadruples of U")
     if not any(succ.get(a) in shared for a in shared):
         raise ValueError("shared triple contains no successor-adjacent pair")
-    for x, y in _anchor_reps(U, q1):
+    for x, y in _anchor_reps(succ, q1):
         sy = succ.get(y)
         s2y = succ.get(sy) if sy is not None else None
         if sy is None or s2y is None:
@@ -679,6 +695,12 @@ class CellComplexWindow:
     seed: tuple
     budget: int
     exhausted: bool      # True when no frontier remained within the budget
+
+    @cached_property
+    def ints(self) -> "_WindowInts":
+        """The int view on which `matching_from_affine` and
+        `frontier_bijection` vet candidate maps, built on first use."""
+        return _WindowInts(self)
 
 
 def build_complex(chart: Chart, seed=None,
@@ -775,14 +797,157 @@ def _absorb(cell: TwoCell, edges: dict, vertices: dict) -> None:
 
 # ---------------------------------------------------------------------------
 # matching two windows
+#
+# Candidate maps are vetted on the int view of each window: every position of
+# its cell, edge and vertex keys times L, the least common denominator of
+# their coordinates. A positive scaling keeps the lexicographic order, so a
+# sorted key stays sorted and keys sort as their positions do; results go back
+# to positions only when they are read.
 
-@dataclass
+@dataclass(frozen=True, eq=False)
+class _ConicInts:
+    """A rigid conic on the int view of its window: the successor map and its
+    inverse on int positions. `name` (its position key) and `frac` (the
+    view's int -> position map) only serve messages."""
+    kind: SubconicKind
+    succ: dict
+    pred: dict
+    name: tuple
+    frac: dict
+
+
+def _form_class(coeffs) -> tuple:
+    """The primitive int vector of a nonzero int form, with its first nonzero
+    coefficient positive. For an indefinite form, such as every rigid conic's,
+    this is exactly the class `canonical_scale` picks."""
+    g = math.gcd(*coeffs)
+    if next(c for c in coeffs if c) < 0:
+        g = -g
+    return tuple(c // g for c in coeffs)
+
+
+def _congruent(coeffs, M, s, w) -> tuple:
+    """The coefficients of K^T Q K for K = (M, s; 0, w), Q the symmetric
+    matrix of `coeffs`."""
+    a11, a22, a33, a12, a13, a23 = coeffs
+    (m00, m01), (m10, m11) = M
+    s0, s1 = s
+    p00, p10 = a11 * m00 + a12 * m10, a12 * m00 + a22 * m10   # A M
+    p01, p11 = a11 * m01 + a12 * m11, a12 * m01 + a22 * m11
+    u0 = a11 * s0 + a12 * s1 + w * a13                        # A s + w b
+    u1 = a12 * s0 + a22 * s1 + w * a23
+    return (m00 * p00 + m10 * p10, m01 * p01 + m11 * p11,
+            s0 * u0 + s1 * u1 + w * (a13 * s0 + a23 * s1 + w * a33),
+            m00 * p01 + m10 * p11, m00 * u0 + m10 * u1, m01 * u0 + m11 * u1)
+
+
+class _WindowInts:
+    """The int view of a window (see above), built once per window.
+
+    `cells` maps a cell to the 1-cells of its sides, `edges` a 1-cell to its
+    endpoint conics, `incident` a conic to its 1-cells in sorted order.
+    `forms` holds each vertex form on the view, as its `_form_class` at
+    (X, Y, 1) for the position (X, Y)/L, and `by_form` indexes them.
+    """
+
+    def __init__(self, window: CellComplexWindow):
+        positions = {p for keys in (window.cells, window.edges, window.vertices)
+                     for key in keys for p in key}
+        self.L = L = common_denominator(c for p in positions for c in p)
+        self.pos = {p: (scaled_int(p[0], L), scaled_int(p[1], L))
+                    for p in positions}
+        self.frac = {P: p for p, P in self.pos.items()}
+        key = self.key
+        self.cells = {key(k): tuple(None if q is None else key(q)
+                                    for q in cell.edge_quadruples)
+                      for k, cell in window.cells.items()}
+        self.edges = {key(q): frozenset(map(key, rec["endpoints"]))
+                      for q, rec in window.edges.items()}
+        self.points = {P for keys in (self.cells, self.edges)
+                       for k in keys for P in k}
+        self.conics, self.forms = {}, {}
+        for k, U in window.vertices.items():
+            succ = {self.pos[a]: self.pos[b] for a, b in U.successor().items()}
+            self.conics[key(k)] = _ConicInts(
+                U.kind, succ, {b: a for a, b in succ.items()}, k, self.frac)
+            q = U.subconic.form
+            self.forms[key(k)] = _form_class(clear_denominators(
+                (q.a11, q.a22, L * L * q.a33, q.a12, L * q.a13, L * q.a23)))
+        self.by_form = {f: k for k, f in self.forms.items()}
+        edges = sorted(self.edges)
+        self.incident = {v: [q for q in edges if v in self.edges[q]]
+                         for v in self.conics}
+        self._pairs: dict = {}
+
+    def key(self, positions) -> tuple:
+        return tuple(self.pos[p] for p in positions)
+
+    def show(self, key) -> tuple:
+        return tuple(self.frac[P] for P in key)
+
+    def pairs(self, vkey, quad) -> frozenset:
+        """The unique partition of the 1-cell quad on the boundary of the
+        conic vkey into successor-adjacent pairs; computed once per view."""
+        if (vkey, quad) not in self._pairs:
+            succ = self.conics[vkey].succ
+            reps = _anchor_reps(succ, set(quad))
+            self._pairs[vkey, quad] = reps and frozenset(
+                (x, succ[x]) for x in reps[0])
+        pairs = self._pairs[vkey, quad]
+        if not pairs:
+            raise ValueError(f"{self.show(quad)} is not a 1-cell of "
+                             f"{self.conics[vkey].name}")
+        return pairs
+
+
 class CellMatching:
     """Dictionaries from A-side keys to B-side keys (faces by triple,
-    edges by quadruple, vertices by rigid-conic boundary key)."""
-    faces: dict
-    edges: dict
-    vertices: dict
+    edges by quadruple, vertices by rigid-conic boundary key).
+
+    A matching made by `matching_from_affine` is held on the int views of the
+    two windows, and each dictionary is built when it is first read.
+    """
+
+    def __init__(self, faces: dict, edges: dict, vertices: dict):
+        self._dicts = [faces, edges, vertices]
+        self._views = None       # (A view, B view, the three int maps)
+        self._beta = None        # (A view, B view, the last int bijection)
+
+    @classmethod
+    def _on_views(cls, va: _WindowInts, vb: _WindowInts,
+                  *maps: dict) -> "CellMatching":
+        phi = cls(None, None, None)
+        phi._views = (va, vb, maps)
+        return phi
+
+    def _read(self, i: int) -> dict:
+        if self._dicts[i] is None:
+            va, vb, maps = self._views
+            self._dicts[i] = {va.show(k): vb.show(k2)
+                              for k, k2 in maps[i].items()}
+        return self._dicts[i]
+
+    faces = property(lambda self: self._read(0))
+    edges = property(lambda self: self._read(1))
+    vertices = property(lambda self: self._read(2))
+
+    def on_views(self, va: _WindowInts, vb: _WindowInts) -> tuple:
+        """The face, edge and vertex maps on the int views va and vb. A map
+        whose dictionary has been read comes from the dictionary, which its
+        reader may have changed."""
+        held = self._views is not None and self._views[:2] == (va, vb)
+        return tuple(
+            self._views[2][i] if held and self._dicts[i] is None
+            else {va.key(k): vb.key(k2) for k, k2 in self._read(i).items()}
+            for i in range(3))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, CellMatching) and all(
+            self._read(i) == other._read(i) for i in range(3))
+
+    def __repr__(self) -> str:
+        return (f"CellMatching(faces={self.faces!r}, edges={self.edges!r}, "
+                f"vertices={self.vertices!r})")
 
 
 def matching_from_affine(A: CellComplexWindow, B: CellComplexWindow,
@@ -795,60 +960,66 @@ def matching_from_affine(A: CellComplexWindow, B: CellComplexWindow,
     their transformed forms (canonically rescaled), because the windowed
     boundary of a truncated conic depends on the window shape and two charts
     rarely clip it identically. Raises when no face or no edge matches.
-    """
-    def image_key(key):
-        return _pos_key([apply_affine(g, tau, p) for p in key])
 
-    faces, edges, vertices = {}, {}, {}
-    for key in A.cells:
-        ik = image_key(key)
-        if ik in B.cells:
-            faces[key] = ik
-    for key in A.edges:
-        ik = image_key(key)
-        if ik in B.edges:
-            edges[key] = ik
+    Vetted on ints in each window's frame: between the views the map is
+    P -> (G P + t) / den with (G, t) / den = (L_B / L_A g, L_B tau), each
+    distinct A point is mapped once, and a key with a non-integral image
+    point matches nothing. Forms go through the lifted inverse
+    (den adj G, -adj G t; 0, det G), a nonzero multiple of the inverse of
+    (G, t; 0, den), which keeps the class.
+    """
+    va, vb = A.ints, B.ints
+    vals = [*g[0], *g[1], *tau]
+    D = common_denominator(vals)
+    a, b, c, d, t0, t1 = (scaled_int(v, D) for v in vals)
+    # (g, tau) = (a, b; c, d | t0, t1) / D between the views, with both
+    # frames scaled to ints
+    a, b, c, d = (x * vb.L for x in (a, b, c, d))
+    t0, t1, den = t0 * va.L * vb.L, t1 * va.L * vb.L, D * va.L
+    images = {}
+    for X, Y in va.points:
+        u, v = a * X + b * Y + t0, c * X + d * Y + t1
+        if u % den == 0 and v % den == 0:
+            images[X, Y] = (u // den, v // den)
+
+    def image_key(key):
+        pts = [images.get(P) for P in key]
+        return None if None in pts else tuple(sorted(pts))
+
+    faces = {k: ik for k in va.cells if (ik := image_key(k)) in vb.cells}
+    edges = {k: ik for k in va.edges if (ik := image_key(k)) in vb.edges}
     if not faces or not edges:
         raise ValueError("affine map matches no cells between the windows")
-    by_form = {canonical_scale(U.subconic.form).coeffs(): key
-               for key, U in B.vertices.items()}
-    for key, U in A.vertices.items():
-        q2 = transform_by_affine(U.subconic.form, g, tau)
-        ik = by_form.get(canonical_scale(q2).coeffs())
+    # a matched face is a noncollinear image triple, so det G != 0
+    M = ((den * d, -den * b), (-den * c, den * a))
+    shift = (b * t1 - d * t0, c * t0 - a * t1)
+    vertices = {}
+    for k, form in va.forms.items():
+        ik = vb.by_form.get(_form_class(_congruent(form, M, shift,
+                                                   a * d - b * c)))
         if ik is not None:
-            vertices[key] = ik
-    return CellMatching(faces, edges, vertices)
+            vertices[k] = ik
+    return CellMatching._on_views(va, vb, faces, edges, vertices)
 
 
-def _successor_pairs(U: RigidConic, quad) -> frozenset:
-    """The unique partition of a 1-cell on ∂U into successor-adjacent pairs."""
-    reps = _anchor_reps(U, set(quad))
-    if not reps:
-        raise ValueError(f"{tuple(quad)} is not a 1-cell of {U.key()}")
-    x, y = reps[0]
-    succ = U.successor()
-    return frozenset([(x, succ[x]), (y, succ[y])])
-
-
-def _check_phi(A: CellComplexWindow, B: CellComplexWindow,
-               phi: CellMatching) -> None:
-    """Incidence and orientation of a cell matching; raises naming the
-    first violated cell."""
-    if len(set(phi.faces.values())) != len(phi.faces) \
-            or len(set(phi.edges.values())) != len(phi.edges) \
-            or len(set(phi.vertices.values())) != len(phi.vertices):
+def _check_phi(va: _WindowInts, vb: _WindowInts, faces: dict, edges: dict,
+               vertices: dict) -> None:
+    """Incidence and orientation of a cell matching on the int views; raises
+    naming the first violated cell."""
+    if len(set(faces.values())) != len(faces) \
+            or len(set(edges.values())) != len(edges) \
+            or len(set(vertices.values())) != len(vertices):
         raise ValueError("matching is not injective")
-    for fkey, fkey2 in phi.faces.items():
-        cell, cell2 = A.cells[fkey], B.cells[fkey2]
-        cyc = [phi.edges.get(q) if q is not None else None
-               for q in cell.edge_quadruples]
-        target = list(cell2.edge_quadruples)
+    for fkey, fkey2 in faces.items():
+        cyc = [edges.get(q) if q is not None else None for q in va.cells[fkey]]
+        target = list(vb.cells[fkey2])
         if len(cyc) != len(target):
-            raise ValueError(f"face {fkey}: side counts differ under the matching")
+            raise ValueError(f"face {va.show(fkey)}: side counts differ under "
+                             "the matching")
         known = [q for q in cyc if q is not None]
         if any(q not in target for q in known):
-            raise ValueError(f"face {fkey}: matched edges are not incident "
-                             "to the matched face")
+            raise ValueError(f"face {va.show(fkey)}: matched edges are not "
+                             "incident to the matched face")
         rotations = [target[i:] + target[:i] for i in range(len(target))]
         if not any(all(c is None or c == t[i] for i, c in enumerate(cyc))
                    for t in rotations):
@@ -856,9 +1027,10 @@ def _check_phi(A: CellComplexWindow, B: CellComplexWindow,
             reflections = [rev[i:] + rev[:i] for i in range(len(rev))]
             if any(all(c is None or c == t[i] for i, c in enumerate(cyc))
                    for t in reflections):
-                raise ValueError(f"face {fkey}: matching reverses the boundary "
-                                 "orientation")
-            raise ValueError(f"face {fkey}: boundary cycles do not correspond")
+                raise ValueError(f"face {va.show(fkey)}: matching reverses "
+                                 "the boundary orientation")
+            raise ValueError(f"face {va.show(fkey)}: boundary cycles do not "
+                             "correspond")
 
 
 class _Ambiguous(ValueError):
@@ -878,23 +1050,26 @@ def frontier_bijection(A: CellComplexWindow, B: CellComplexWindow,
 
     Returns {position -> position} on all boundary points the matching
     reaches, certified to satisfy beta(s(x)) = s'(beta(x)) and to agree
-    across conics sharing cone points.
+    across conics sharing cone points. Runs on the int views of A and B,
+    and keeps the int bijection on phi.
     """
-    _check_phi(A, B, phi)
+    va, vb = A.ints, B.ints
+    faces, edges, vertices = phi.on_views(va, vb)
+    _check_phi(va, vb, faces, edges, vertices)
     jobs = {}
-    for vkey, vkey2 in sorted(phi.vertices.items()):
-        U, U2 = A.vertices[vkey], B.vertices[vkey2]
+    for vkey, vkey2 in sorted(vertices.items()):
+        U, U2 = va.conics[vkey], vb.conics[vkey2]
         if U.kind is not U2.kind:
-            raise ValueError(f"vertex {vkey}: kinds differ under the matching")
+            raise ValueError(f"vertex {U.name}: kinds differ under the matching")
         constraints = []
-        for q, rec in sorted(A.edges.items()):
-            if vkey not in rec["endpoints"] or q not in phi.edges:
+        for q in va.incident[vkey]:
+            q2 = edges.get(q)
+            if q2 is None:
                 continue
-            q2 = phi.edges[q]
-            if vkey2 not in B.edges[q2]["endpoints"]:
-                raise ValueError(f"edge {q}: image not incident to image vertex")
-            constraints.append((_successor_pairs(U, q),
-                                _successor_pairs(U2, q2)))
+            if vkey2 not in vb.edges[q2]:
+                raise ValueError(f"edge {va.show(q)}: image not incident to "
+                                 "image vertex")
+            constraints.append((va.pairs(vkey, q), vb.pairs(vkey2, q2)))
         if constraints:
             jobs[vkey] = (U, U2, constraints)
 
@@ -903,7 +1078,8 @@ def frontier_bijection(A: CellComplexWindow, B: CellComplexWindow,
     def merge(local):
         for x, x2 in local.items():
             if beta.setdefault(x, x2) != x2:
-                raise ValueError(f"matching is inconsistent at cone point {x}")
+                raise ValueError(f"matching is inconsistent at cone point "
+                                 f"{va.frac[x]}")
 
     pending = sorted(jobs)
     final = False
@@ -928,20 +1104,21 @@ def frontier_bijection(A: CellComplexWindow, B: CellComplexWindow,
             break
         if not progressed:
             if final:
-                raise ValueError(
-                    f"orientation on {deferred[0]} cannot be certified")
+                raise ValueError(f"orientation on {va.show(deferred[0])} "
+                                 "cannot be certified")
             final = True
         pending = deferred
 
-    for q, q2 in phi.edges.items():
+    for q, q2 in edges.items():
         if all(p in beta for p in q):
-            if _pos_key([beta[p] for p in q]) != q2:
-                raise ValueError(f"edge {q}: bijection disagrees with the "
-                                 "matched quadruple")
-    return beta
+            if tuple(sorted(beta[p] for p in q)) != q2:
+                raise ValueError(f"edge {va.show(q)}: bijection disagrees "
+                                 "with the matched quadruple")
+    phi._beta = (va, vb, beta)
+    return {va.frac[x]: vb.frac[x2] for x, x2 in beta.items()}
 
 
-def _resolve_pairs(constraints, U: RigidConic, U2: RigidConic,
+def _resolve_pairs(constraints, U: _ConicInts, U2: _ConicInts,
                    hints: dict, final: bool) -> dict:
     """Assign each successor pair of U appearing in the constraints to a
     pair of U2. Shared pairs between 1-cells pin the correspondence; cone
@@ -1011,42 +1188,41 @@ def _resolve_pairs(constraints, U: RigidConic, U2: RigidConic,
             pairmap = trial
             break
         else:
-            raise ValueError(f"1-cell orientation on {U.key()} cannot be "
+            raise ValueError(f"1-cell orientation on {U.name} cannot be "
                              "certified either way")
     return pairmap
 
 
-def _extend_by_conjugation(U: RigidConic, U2: RigidConic, local: dict) -> None:
+def _extend_by_conjugation(U: _ConicInts, U2: _ConicInts, local: dict) -> None:
     """Grow beta along successor orbits (both directions) and certify
     beta(s(x)) = s'(beta(x)) wherever both sides are defined. Mutates and
     validates `local`."""
-    succ, succ2 = U.successor(), U2.successor()
-    pred = {b: a for a, b in succ.items()}
-    pred2 = {b: a for a, b in succ2.items()}
+    succ, succ2 = U.succ, U2.succ
     frontier = list(local)
     while frontier:
         x = frontier.pop()
         x2 = local[x]
-        for step, step2 in ((succ, succ2), (pred, pred2)):
+        for step, step2 in ((succ, succ2), (U.pred, U2.pred)):
             nxt = step.get(x)
             if nxt is None:
                 continue
             nxt2 = step2.get(x2)
             if nxt in local:
                 if local[nxt] != (nxt2 if nxt2 is not None else local[nxt]):
-                    raise ValueError(
-                        f"successor conjugation fails at {x} on {U.key()}")
+                    raise ValueError(f"successor conjugation fails at "
+                                     f"{U.frac[x]} on {U.name}")
                 continue
             if nxt2 is None:
                 continue
             local[nxt] = nxt2
             frontier.append(nxt)
     if len(set(local.values())) != len(local):
-        raise ValueError(f"bijection collapses points on {U.key()}")
+        raise ValueError(f"bijection collapses points on {U.name}")
     for x, x2 in local.items():
         sx = succ.get(x)
         if sx is not None and sx in local and succ2.get(x2) != local[sx]:
-            raise ValueError(f"successor conjugation fails at {x} on {U.key()}")
+            raise ValueError(f"successor conjugation fails at {U.frac[x]} "
+                             f"on {U.name}")
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,11 @@ membership checks, plus the hyperbolic tessellation of a cell complex.
 
 Everything that decides a verdict is exact. An affine map keeps its rational
 matrix, and its homothety sqrt(det g) is taken as a rational only when det g
-is a rational square. The Veech check's safe sub-window compares squared
-distances against the operator norm of g with the square root squared out.
+is a rational square. `discover_affine` proposes candidate maps on positions,
+and each candidate is vetted on ints in each window's frame (the int views of
+`cellcomplex`); only the certified maps and their matchings come back as
+positions. The Veech check's safe sub-window compares squared distances
+against the operator norm of g with the square root squared out.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ from .cellcomplex import (CellComplexWindow, CellMatching, _face_id,
                           frontier_bijection, matching_from_affine,
                           rigid_conics)
 from .geom import class_key, h_point
-from .linalg import apply_affine, convex_hull_ccw
+from .linalg import (apply_affine, common_denominator, convex_hull_ccw,
+                     scaled_int)
 from .quadform import transform_by_affine
 from .surface import Chart, SurfaceDesc, develop, dist2
 
@@ -60,34 +64,45 @@ class AffineCandidate:
 def psi_of_quadruple(Z, Zp) -> AffineCandidate:
     """The unique affine map sending the first three points of Z to those of
     Zp, checked for orientation and for consistency on the fourth point.
-    Exact over rationals."""
+
+    Exact: the eight points are scaled to ints by their least common
+    denominator L, so g = N adj(M) / det M for the int difference matrices M
+    and N, and only g and the translation become Fractions.
+    """
     Z = [tuple(p) for p in Z]
     Zp = [tuple(p) for p in Zp]
     if len(Z) != 4 or len(Zp) != 4:
         raise ValueError("need two quadruples")
-    (x0, y0), (x1, y1), (x2, y2) = Z[0], Z[1], Z[2]
+    L = common_denominator(c for p in Z + Zp for c in p)
+    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = (
+        (scaled_int(x, L), scaled_int(y, L)) for x, y in Z)
+    (u0, v0), (u1, v1), (u2, v2), (u3, v3) = (
+        (scaled_int(x, L), scaled_int(y, L)) for x, y in Zp)
     m00, m01 = x1 - x0, x2 - x0
     m10, m11 = y1 - y0, y2 - y0
-    det = Fraction(m00 * m11 - m01 * m10)   # int points still divide exactly
+    det = m00 * m11 - m01 * m10
     if det == 0:
         raise ValueError("source triple is collinear")
-    (u0, v0), (u1, v1), (u2, v2) = Zp[0], Zp[1], Zp[2]
     n00, n01 = u1 - u0, u2 - u0
     n10, n11 = v1 - v0, v2 - v0
-    # g = N M^-1
-    g = ((n00 * m11 - n01 * m10) / det, (-n00 * m01 + n01 * m00) / det), \
-        ((n10 * m11 - n11 * m10) / det, (-n10 * m01 + n11 * m00) / det)
-    gdet = g[0][0] * g[1][1] - g[0][1] * g[1][0]
-    if gdet <= 0:
+    # g = N M^-1 = G / det
+    G = ((n00 * m11 - n01 * m10, -n00 * m01 + n01 * m00),
+         (n10 * m11 - n11 * m10, -n10 * m01 + n11 * m00))
+    if G[0][0] * G[1][1] - G[0][1] * G[1][0] <= 0:   # det^2 det g
         raise ValueError("map is orientation-reversing or degenerate")
-    tau = (u0 - g[0][0] * x0 - g[0][1] * y0, v0 - g[1][0] * x0 - g[1][1] * y0)
-    x3, y3 = Z[3]
-    image = (g[0][0] * x3 + g[0][1] * y3 + tau[0],
-             g[1][0] * x3 + g[1][1] * y3 + tau[1])
-    if image != Zp[3]:
+    # the translation is (det u0 - G x0) / (det L); the fourth point maps
+    # to (G (x3 - x0) + det u0) / (det L)
+    image = (G[0][0] * (x3 - x0) + G[0][1] * (y3 - y0),
+             G[1][0] * (x3 - x0) + G[1][1] * (y3 - y0))
+    if image != (det * (u3 - u0), det * (v3 - v0)):
+        image = (Fraction(image[0] + det * u0, det * L),
+                 Fraction(image[1] + det * v0, det * L))
         raise ValueError(
             f"fourth point is inconsistent: {Z[3]} maps to {image}, "
             f"expected {Zp[3]}")
+    g = tuple(tuple(Fraction(x, det) for x in row) for row in G)
+    tau = (Fraction(det * u0 - G[0][0] * x0 - G[0][1] * y0, det * L),
+           Fraction(det * v0 - G[1][0] * x0 - G[1][1] * y0, det * L))
     return AffineCandidate(g, tau)
 
 
@@ -95,22 +110,25 @@ def reconstruct(A: CellComplexWindow, B: CellComplexWindow,
                 phi: CellMatching) -> AffineCandidate:
     """Recover the common affine map underlying a cell matching: the frontier
     bijection gives matched cone points, every matched 1-cell determines the
-    map on its quadruple, and all of them must agree."""
-    beta = frontier_bijection(A, B, phi)
+    map on its quadruple, and all of them must agree. The 1-cells and the
+    bijection are read on the int views of A and B."""
+    frontier_bijection(A, B, phi)       # keeps its int bijection on phi
+    va, vb, beta = phi._beta
     candidate = None
     witness = None
-    for q in sorted(phi.edges):
+    for q in sorted(phi.on_views(va, vb)[1]):
         if not all(p in beta for p in q):
             continue
+        Z = va.show(q)
         try:
-            c = psi_of_quadruple(list(q), [beta[p] for p in q])
+            c = psi_of_quadruple(list(Z), [vb.frac[beta[p]] for p in q])
         except ValueError as e:
-            raise ValueError(f"1-cell {q} admits no affine map: {e}") from None
+            raise ValueError(f"1-cell {Z} admits no affine map: {e}") from None
         if candidate is None:
-            candidate, witness = c, q
+            candidate, witness = c, Z
         elif c != candidate:
             raise ValueError(
-                f"1-cells {witness} and {q} determine different affine maps "
+                f"1-cells {witness} and {Z} determine different affine maps "
                 f"({candidate.g} vs {c.g})")
     if candidate is None:
         raise ValueError("no matched 1-cell has a fully matched quadruple")
@@ -124,23 +142,30 @@ def discover_affine(A: CellComplexWindow, B: CellComplexWindow):
     two parallel lines), and an orientation-preserving affine map keeps its
     counterclockwise order. So each A 1-cell is sent onto the 4 cyclic
     rotations of each B 1-cell only, in the order a search over all 24
-    orderings would meet them. Each candidate map is vetted by matching the
-    whole windows and reconstructing. Among the certified maps the one with
-    the smallest translation (then smallest entries) is returned, together
-    with its matching. Raises when nothing certifies.
+    orderings would meet them. Each candidate map is vetted on ints in each
+    window's frame, by matching the whole windows and reconstructing. Among
+    the certified maps the one with the smallest translation (then smallest
+    entries) is returned, together with its matching. Raises when nothing
+    certifies.
     """
-    b_edges = [(qb, convex_hull_ccw(qb)) for qb in sorted(B.edges)]
+    vb = B.ints
+    # each counterclockwise B 1-cell on ints, to sort the images by (a
+    # positive scaling keeps their lexicographic order), and as positions
+    b_edges = [(ccw, vb.show(ccw))
+               for ccw in map(convex_hull_ccw, sorted(vb.edges))]
     tried = set()
     certified = []
     for qa in sorted(A.edges):
         ccw = convex_hull_ccw(qa)
-        for qb, ccw_b in b_edges:
-            images = sorted(
-                tuple(dict(zip(ccw, ccw_b[k:] + ccw_b[:k]))[p] for p in qa)
-                for k in range(len(ccw_b)))
-            for perm in images:
+        at = [ccw.index(p) for p in qa]
+        for ccw_ib, ccw_b in b_edges:
+            n = len(ccw_b)
+            shifts = sorted(range(n), key=lambda k: [ccw_ib[(i + k) % n]
+                                                     for i in at])
+            for k in shifts:
+                perm = [ccw_b[(i + k) % n] for i in at]
                 try:
-                    cand = psi_of_quadruple(list(qa), list(perm))
+                    cand = psi_of_quadruple(list(qa), perm)
                 except ValueError:
                     continue
                 if cand in tried:

@@ -3,10 +3,11 @@
 Everything here goes through numpy least-squares / SVD on the raw monomial
 matrix rather than the package's pencil arithmetic, so agreement between the
 two routes is meaningful evidence. The reference unfolding, rigid conics,
-Veech check, 2-cell constraints and clipping, and window scans at the end are
-the plain Fraction implementations that the integer-frame `develop`,
-`rigid_conics`, `feasible_region`, `_window_zeros` and `subconic_fits`, and
-`veech_check`, must match exactly.
+Veech check, 2-cell constraints and clipping, window scans and affine vetting
+at the end are the plain Fraction implementations that the integer-frame
+`develop`, `rigid_conics`, `feasible_region`, `_window_zeros` and
+`subconic_fits`, `veech_check`, and `matching_from_affine`,
+`frontier_bijection`, `reconstruct` and `discover_affine`, must match exactly.
 """
 
 from collections import deque
@@ -648,3 +649,389 @@ def reference_subconic_fits(chart, q):
         if reference_ray_meets_sublevel(q, chart.base, p.position):
             return Fit.NO
     return Fit.YES
+
+
+# ---------------------------------------------------------------------------
+# reference affine vetting: the Fraction code that the int views of
+# `cellcomplex.matching_from_affine` and `frontier_bijection`, and
+# `veech.psi_of_quadruple`, `reconstruct` and `discover_affine`, must match.
+# Windows and matchings are the package's own; every position stays a
+# Fraction here.
+
+def _ref_pos_key(positions):
+    return tuple(sorted((p[0], p[1]) for p in positions))
+
+
+def _ref_successor(U):
+    from flatconic.subconic import SubconicKind
+    succ = {}
+    if U.kind is SubconicKind.ELLIPSE_INTERIOR:
+        cyc = U.boundary
+        for i, p in enumerate(cyc):
+            succ[p] = cyc[(i + 1) % len(cyc)]
+    else:
+        for line in U.boundary:
+            for a, b in zip(line, line[1:]):
+                succ[a] = b
+    return succ
+
+
+def reference_matching_from_affine(A, B, g, tau=(0, 0)):
+    from flatconic.cellcomplex import CellMatching
+    from flatconic.linalg import apply_affine
+    from flatconic.quadform import canonical_scale, transform_by_affine
+
+    def image_key(key):
+        return _ref_pos_key([apply_affine(g, tau, p) for p in key])
+
+    faces, edges, vertices = {}, {}, {}
+    for key in A.cells:
+        ik = image_key(key)
+        if ik in B.cells:
+            faces[key] = ik
+    for key in A.edges:
+        ik = image_key(key)
+        if ik in B.edges:
+            edges[key] = ik
+    if not faces or not edges:
+        raise ValueError("affine map matches no cells between the windows")
+    by_form = {canonical_scale(U.subconic.form).coeffs(): key
+               for key, U in B.vertices.items()}
+    for key, U in A.vertices.items():
+        q2 = transform_by_affine(U.subconic.form, g, tau)
+        ik = by_form.get(canonical_scale(q2).coeffs())
+        if ik is not None:
+            vertices[key] = ik
+    return CellMatching(faces, edges, vertices)
+
+
+def _ref_anchor_reps(U, quad):
+    succ = _ref_successor(U)
+    reps = []
+    for x in quad:
+        sx = succ.get(x)
+        if sx is None or sx not in quad or sx == x:
+            continue
+        rest = quad - {x, sx}
+        if len(rest) != 2:
+            continue
+        u, v = sorted(rest)
+        if succ.get(u) == v:
+            reps.append((x, u))
+        if succ.get(v) == u:
+            reps.append((x, v))
+    return reps
+
+
+def _ref_successor_pairs(U, quad):
+    reps = _ref_anchor_reps(U, set(quad))
+    if not reps:
+        raise ValueError(f"{tuple(quad)} is not a 1-cell of {U.key()}")
+    x, y = reps[0]
+    succ = _ref_successor(U)
+    return frozenset([(x, succ[x]), (y, succ[y])])
+
+
+def _ref_check_phi(A, B, phi):
+    if len(set(phi.faces.values())) != len(phi.faces) \
+            or len(set(phi.edges.values())) != len(phi.edges) \
+            or len(set(phi.vertices.values())) != len(phi.vertices):
+        raise ValueError("matching is not injective")
+    for fkey, fkey2 in phi.faces.items():
+        cell, cell2 = A.cells[fkey], B.cells[fkey2]
+        cyc = [phi.edges.get(q) if q is not None else None
+               for q in cell.edge_quadruples]
+        target = list(cell2.edge_quadruples)
+        if len(cyc) != len(target):
+            raise ValueError(f"face {fkey}: side counts differ under the matching")
+        known = [q for q in cyc if q is not None]
+        if any(q not in target for q in known):
+            raise ValueError(f"face {fkey}: matched edges are not incident "
+                             "to the matched face")
+        rotations = [target[i:] + target[:i] for i in range(len(target))]
+        if not any(all(c is None or c == t[i] for i, c in enumerate(cyc))
+                   for t in rotations):
+            rev = target[::-1]
+            reflections = [rev[i:] + rev[:i] for i in range(len(rev))]
+            if any(all(c is None or c == t[i] for i, c in enumerate(cyc))
+                   for t in reflections):
+                raise ValueError(f"face {fkey}: matching reverses the boundary "
+                                 "orientation")
+            raise ValueError(f"face {fkey}: boundary cycles do not correspond")
+
+
+class _RefAmbiguous(ValueError):
+    pass
+
+
+def reference_frontier_bijection(A, B, phi):
+    _ref_check_phi(A, B, phi)
+    jobs = {}
+    for vkey, vkey2 in sorted(phi.vertices.items()):
+        U, U2 = A.vertices[vkey], B.vertices[vkey2]
+        if U.kind is not U2.kind:
+            raise ValueError(f"vertex {vkey}: kinds differ under the matching")
+        constraints = []
+        for q, rec in sorted(A.edges.items()):
+            if vkey not in rec["endpoints"] or q not in phi.edges:
+                continue
+            q2 = phi.edges[q]
+            if vkey2 not in B.edges[q2]["endpoints"]:
+                raise ValueError(f"edge {q}: image not incident to image vertex")
+            constraints.append((_ref_successor_pairs(U, q),
+                                _ref_successor_pairs(U2, q2)))
+        if constraints:
+            jobs[vkey] = (U, U2, constraints)
+
+    beta = {}
+
+    def merge(local):
+        for x, x2 in local.items():
+            if beta.setdefault(x, x2) != x2:
+                raise ValueError(f"matching is inconsistent at cone point {x}")
+
+    pending = sorted(jobs)
+    final = False
+    while pending:
+        progressed = False
+        deferred = []
+        for vkey in pending:
+            U, U2, constraints = jobs[vkey]
+            try:
+                pairmap = _ref_resolve_pairs(constraints, U, U2, beta, final)
+            except _RefAmbiguous:
+                deferred.append(vkey)
+                continue
+            local = {}
+            for (x, sx), (x2, sx2) in pairmap.items():
+                local[x] = x2
+                local[sx] = sx2
+            _ref_extend_by_conjugation(U, U2, local)
+            merge(local)
+            progressed = True
+        if not deferred:
+            break
+        if not progressed:
+            if final:
+                raise ValueError(
+                    f"orientation on {deferred[0]} cannot be certified")
+            final = True
+        pending = deferred
+
+    for q, q2 in phi.edges.items():
+        if all(p in beta for p in q):
+            if _ref_pos_key([beta[p] for p in q]) != q2:
+                raise ValueError(f"edge {q}: bijection disagrees with the "
+                                 "matched quadruple")
+    return beta
+
+
+def _ref_resolve_pairs(constraints, U, U2, hints, final):
+    pairmap = {}
+    pending = list(constraints)
+    progress = True
+    while progress:
+        progress = False
+        remaining = []
+        for pa, pb in pending:
+            known = [p for p in pa if p in pairmap]
+            if len(known) == 2:
+                if {pairmap[p] for p in pa} != set(pb):
+                    raise ValueError("pair images conflict between 1-cells")
+                progress = True
+                continue
+            if len(known) == 1:
+                (other_a,) = [p for p in pa if p not in pairmap]
+                used = pairmap[known[0]]
+                if used not in pb:
+                    raise ValueError("pair images conflict between 1-cells")
+                (other_b,) = [p for p in pb if p != used]
+                pairmap[other_a] = other_b
+                progress = True
+                continue
+            seeded = False
+            for pa2, pb2 in pending:
+                if pa2 is pa or len(pa & pa2) != 1:
+                    continue
+                shared_b = pb & pb2
+                if len(shared_b) == 1:
+                    (sa,) = pa & pa2
+                    (sb,) = shared_b
+                    pairmap[sa] = sb
+                    seeded = progress = True
+                    break
+            if not seeded:
+                for (x, sx) in pa:
+                    hx = hints.get(x), hints.get(sx)
+                    matches = [p2 for p2 in pb if p2[0] == hx[0] or p2[1] == hx[1]]
+                    if len(matches) == 1:
+                        pairmap[(x, sx)] = matches[0]
+                        seeded = progress = True
+                        break
+            if not seeded:
+                remaining.append((pa, pb))
+        pending = remaining
+    if pending and not final:
+        raise _RefAmbiguous("unresolved 1-cells remain")
+    for pa, pb in pending:
+        for flip in (False, True):
+            la, lb = sorted(pa), sorted(pb)
+            trial = dict(pairmap)
+            trial[la[0]] = lb[1] if flip else lb[0]
+            trial[la[1]] = lb[0] if flip else lb[1]
+            local = {}
+            for (x, sx), (x2, sx2) in trial.items():
+                local[x] = x2
+                local[sx] = sx2
+            try:
+                _ref_extend_by_conjugation(U, U2, dict(local))
+            except ValueError:
+                continue
+            pairmap = trial
+            break
+        else:
+            raise ValueError(f"1-cell orientation on {U.key()} cannot be "
+                             "certified either way")
+    return pairmap
+
+
+def _ref_extend_by_conjugation(U, U2, local):
+    succ, succ2 = _ref_successor(U), _ref_successor(U2)
+    pred = {b: a for a, b in succ.items()}
+    pred2 = {b: a for a, b in succ2.items()}
+    frontier = list(local)
+    while frontier:
+        x = frontier.pop()
+        x2 = local[x]
+        for step, step2 in ((succ, succ2), (pred, pred2)):
+            nxt = step.get(x)
+            if nxt is None:
+                continue
+            nxt2 = step2.get(x2)
+            if nxt in local:
+                if local[nxt] != (nxt2 if nxt2 is not None else local[nxt]):
+                    raise ValueError(
+                        f"successor conjugation fails at {x} on {U.key()}")
+                continue
+            if nxt2 is None:
+                continue
+            local[nxt] = nxt2
+            frontier.append(nxt)
+    if len(set(local.values())) != len(local):
+        raise ValueError(f"bijection collapses points on {U.key()}")
+    for x, x2 in local.items():
+        sx = succ.get(x)
+        if sx is not None and sx in local and succ2.get(x2) != local[sx]:
+            raise ValueError(f"successor conjugation fails at {x} on {U.key()}")
+
+
+def reference_psi_of_quadruple(Z, Zp):
+    from flatconic.veech import AffineCandidate
+    Z = [tuple(p) for p in Z]
+    Zp = [tuple(p) for p in Zp]
+    if len(Z) != 4 or len(Zp) != 4:
+        raise ValueError("need two quadruples")
+    (x0, y0), (x1, y1), (x2, y2) = Z[0], Z[1], Z[2]
+    m00, m01 = x1 - x0, x2 - x0
+    m10, m11 = y1 - y0, y2 - y0
+    det = Fraction(m00 * m11 - m01 * m10)
+    if det == 0:
+        raise ValueError("source triple is collinear")
+    (u0, v0), (u1, v1), (u2, v2) = Zp[0], Zp[1], Zp[2]
+    n00, n01 = u1 - u0, u2 - u0
+    n10, n11 = v1 - v0, v2 - v0
+    g = ((n00 * m11 - n01 * m10) / det, (-n00 * m01 + n01 * m00) / det), \
+        ((n10 * m11 - n11 * m10) / det, (-n10 * m01 + n11 * m00) / det)
+    gdet = g[0][0] * g[1][1] - g[0][1] * g[1][0]
+    if gdet <= 0:
+        raise ValueError("map is orientation-reversing or degenerate")
+    tau = (u0 - g[0][0] * x0 - g[0][1] * y0, v0 - g[1][0] * x0 - g[1][1] * y0)
+    x3, y3 = Z[3]
+    image = (g[0][0] * x3 + g[0][1] * y3 + tau[0],
+             g[1][0] * x3 + g[1][1] * y3 + tau[1])
+    if image != Zp[3]:
+        raise ValueError(
+            f"fourth point is inconsistent: {Z[3]} maps to {image}, "
+            f"expected {Zp[3]}")
+    return AffineCandidate(g, tau)
+
+
+def reference_reconstruct(A, B, phi):
+    beta = reference_frontier_bijection(A, B, phi)
+    candidate = None
+    witness = None
+    for q in sorted(phi.edges):
+        if not all(p in beta for p in q):
+            continue
+        try:
+            c = reference_psi_of_quadruple(list(q), [beta[p] for p in q])
+        except ValueError as e:
+            raise ValueError(f"1-cell {q} admits no affine map: {e}") from None
+        if candidate is None:
+            candidate, witness = c, q
+        elif c != candidate:
+            raise ValueError(
+                f"1-cells {witness} and {q} determine different affine maps "
+                f"({candidate.g} vs {c.g})")
+    if candidate is None:
+        raise ValueError("no matched 1-cell has a fully matched quadruple")
+    return candidate
+
+
+def reference_discover_affine(A, B):
+    from flatconic.linalg import convex_hull_ccw
+    b_edges = [(qb, convex_hull_ccw(qb)) for qb in sorted(B.edges)]
+    tried = set()
+    certified = []
+    for qa in sorted(A.edges):
+        ccw = convex_hull_ccw(qa)
+        for qb, ccw_b in b_edges:
+            images = sorted(
+                tuple(dict(zip(ccw, ccw_b[k:] + ccw_b[:k]))[p] for p in qa)
+                for k in range(len(ccw_b)))
+            for perm in images:
+                try:
+                    cand = reference_psi_of_quadruple(list(qa), list(perm))
+                except ValueError:
+                    continue
+                if cand in tried:
+                    continue
+                tried.add(cand)
+                try:
+                    phi = reference_matching_from_affine(A, B, cand.g,
+                                                         cand.translation)
+                    rec = reference_reconstruct(A, B, phi)
+                except ValueError:
+                    continue
+                certified.append((rec, phi))
+    if not certified:
+        raise ValueError("no affine correspondence between the windows "
+                         "certifies")
+
+    def presentation_grade(rec):
+        sa, sb = A.chart.surface, B.chart.surface
+        if len(sa.polygons) != len(sb.polygons):
+            return 2
+        targets = dict(sb.polygons)
+        ordered = True
+        for pid, verts in sa.polygons:
+            if pid not in targets:
+                return 2
+            image = tuple(rec.apply(v) for v in verts)
+            if image != targets[pid]:
+                ordered = False
+                if frozenset(image) != frozenset(targets[pid]):
+                    return 2
+        return 0 if ordered else 1
+
+    def size(entry):
+        rec, phi = entry
+        t0, t1 = rec.translation
+        det = rec.det
+        entries = [x for row in rec.g for x in row]
+        return (presentation_grade(rec), -len(phi.faces),
+                t0 * t0 + t1 * t1, sum(x * x for x in entries) / det,
+                tuple(x * abs(x) / det for x in entries), rec.translation)
+
+    certified.sort(key=size)
+    return certified[0]

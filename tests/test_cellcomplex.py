@@ -96,6 +96,17 @@ def test_realizable_triple_checks(torus_chart):
     assert not realizable_triple(torus_chart, ((0, 0), (3, 1), (1, 3)))
 
 
+def test_a_cone_point_at_the_centroid_is_not_realizable():
+    # the centroid (0, 0) is a cone point strictly inside the triangle, so
+    # the chart cannot be re-based there, and the triple is still decided
+    chart = develop(square_torus(), radius=3)
+    triple = ((1, 1), (0, -1), (-1, 0))
+    assert realizable_triple(chart, triple) is False
+    assert realizable_quadruple(chart, triple + ((2, 2),)) is False
+    with pytest.raises(NotRealizable, match="strictly inside"):
+        feasible_region(chart, triple)
+
+
 def test_unit_square_is_a_realizable_quadruple(torus_chart):
     assert realizable_quadruple(torus_chart, ((0, 0), (1, 0), (1, 1), (0, 1)))
 
@@ -293,6 +304,10 @@ def test_frontier_bijection_rejects_non_injective_matchings(torus_chart):
     bad = CellMatching(faces, dict(phi.edges), dict(phi.vertices))
     with pytest.raises(ValueError, match="not injective"):
         frontier_bijection(A, A, bad)
+    # the same edit made in place on the matching's own dictionary
+    phi.faces[keys[0]] = phi.faces[keys[1]]
+    with pytest.raises(ValueError, match="not injective"):
+        frontier_bijection(A, A, phi)
 
 
 # ---------------------------------------------------------------------------

@@ -168,12 +168,24 @@ PINNED = {
     "veech-check-l-S-R3": (
         ["veech-check", "l_shape", "--matrix", "0,-1,1,0", "--radius", "3"],
         "b221d22d5ae1c1e97de261bce8309801ca422aa72347b1923e199baba1d12e17"),
+    "rebuild-torus-sheared-b6-t10": (
+        ["rebuild", "torus", "sheared_torus", "--budget", "6",
+         "--target-budget", "10"],
+        "abd2b3f6b9ec93e753190ba1232e14f1097730284bf2cf206e7b696dbce7fad4"),
+    # the (1/2, 1/4) marked point gives the window frame denominator 4
+    "rebuild-marked-self-R3-b6-t8": (
+        ["rebuild", "two_marked_torus", "two_marked_torus", "--radius", "3",
+         "--budget", "6", "--target-budget", "8"],
+        "8f17b569ad96a633ec279be9faf5bad955109c28745651c0cf8fada7181df85b"),
 }
 
 
 @pytest.mark.parametrize("run", sorted(PINNED))
 def test_output_bytes_are_pinned(run, capsys):
     argv, digest = PINNED[run]
-    argv = [argv[0], str(STOCK / f"{argv[1]}.tsurf")] + argv[2:]
+    # every subcommand reads one stock surface, rebuild a source and a target
+    n = 3 if argv[0] == "rebuild" else 2
+    argv = [argv[0]] + [str(STOCK / f"{name}.tsurf")
+                        for name in argv[1:n]] + argv[n:]
     assert main(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
