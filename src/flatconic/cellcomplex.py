@@ -5,25 +5,25 @@ interior, and maximal strips), 1-cells are realizable quadruples, 2-cells are
 realizable triples. For a triple Z the 2-cell is computed exactly in the
 T-plane of its natural pencil basis: every other cone point z contributes the
 linear constraint q_t(z) >= 0, and the feasible polygon is cut out of the
-unit simplex by Sutherland-Hodgman clipping. Both run on ints: the
-constraints come from the barycentric coordinates of z in the int frame of
-the window, a positive multiple of each, and the clipped polygon keeps its
-vertices as homogeneous int triples until it is returned.
+unit simplex by Sutherland-Hodgman clipping. Both run on the surface's one
+integer lattice Z^2 / `surface.scale`, which holds every window point of
+every chart, re-based ones included (`Chart.lattice`): the constraints come
+from the barycentric coordinates of z on it, a positive multiple of each,
+and the clipped polygon keeps its vertices as homogeneous int triples until
+it is returned.
 
-`rigid_conics` works in the integer frame of the window (positions times
-the least common denominator L of their coordinates). Its chord graph keys
-each pair by the signed primitive int ray from one point to the other, so a
-chord is an edge iff its far end is the nearest window point on that ray. A
-5-clique of the chord graph is solved for its conic only when its points are
-in strictly convex position and their pentagon holds no window point; both
-tests are exact, since the boundary points of an ellipse are in strictly
-convex position and a point strictly inside their hull is strictly inside the
-ellipse. Strips come from consecutive int levels along the normal of each
-swept direction.
+The chord graph of `rigid_conics` keys each pair by the signed primitive int
+ray from one point to the other, so a chord is an edge iff its far end is
+the nearest window point on that ray. A 5-clique of the chord graph is
+solved for its conic only when its points are in strictly convex position
+and their pentagon holds no window point; both tests are exact, since the
+boundary points of an ellipse are in strictly convex position and a point
+strictly inside their hull is strictly inside the ellipse. Every strip is
+built by `_strip` from consecutive int levels along its normal.
 
 Two windows are matched under an affine map on the int view of each window
-(`CellComplexWindow.ints`), built once per window: candidate maps are vetted
-on ints in each window's frame, and only what a caller reads goes back to
+(`CellComplexWindow.ints`, its keys on the lattice), built once per window:
+candidate maps are vetted on ints, and only what a caller reads goes back to
 positions.
 """
 
@@ -106,23 +106,19 @@ class RigidConic:
         return succ
 
 
-def _window_zeros(chart: Chart, q: QForm3) -> Optional[list]:
-    """The window positions where q vanishes, or None if q is negative at a
-    window point. Every developed point counts, occluded ones included.
-
-    q is evaluated on ints: at (X, Y, L) for the window point (X, Y)/L, L
-    the least common denominator of the window positions (`_int_form`).
-    """
-    window = [p.position for p in chart.window_points]
-    L = common_denominator(c for p in window for c in p)
+def _window_zeros(chart: Chart, q: QForm3) -> Optional[list[int]]:
+    """The indices into `chart.window_points` where q vanishes, or None if q
+    is negative at a window point, occluded ones included. q is evaluated on
+    the lattice: at (X, Y, L) for the point (X, Y)/L, L = `surface.scale`."""
+    L = chart.surface.scale
     qi = _int_form(q, (0, 0))
     zeros = []
-    for x, y in window:
-        s = qi((scaled_int(x, L), scaled_int(y, L), L))
+    for k, (X, Y) in enumerate(chart.lattice):
+        s = qi((X, Y, L))
         if s < 0:
             return None
         if s == 0:
-            zeros.append((x, y))
+            zeros.append(k)
     return zeros
 
 
@@ -140,7 +136,8 @@ def _ellipse_rigid(chart: Chart, q: QForm3) -> Optional[RigidConic]:
     fit = subconic_fits(rebase(chart, ellipse_center(q)), q)
     if fit is Fit.NO:
         return None
-    cyc = convex_hull_ccw(zeros)
+    window = chart.window_points
+    cyc = convex_hull_ccw([window[k].position for k in zeros])
     if len(cyc) != len(zeros):
         return None  # boundary points of an ellipse are in convex position
     return RigidConic(subconic(canonical_scale(q)), tuple(cyc),
@@ -148,36 +145,51 @@ def _ellipse_rigid(chart: Chart, q: QForm3) -> Optional[RigidConic]:
 
 
 def _strip_rigid(chart: Chart, q: QForm3) -> Optional[RigidConic]:
-    """Windowed maximal strip through the zero set of q; always truncated."""
-    direction = strip_direction(q)
-    normal = (-direction[1], direction[0])
+    """Windowed maximal strip through the zero set of a strip form q, or None
+    unless q >= 0 on the window and vanishes on exactly two lattice levels
+    with >= 2 points each (then q is a positive multiple of `_strip`'s)."""
+    d = strip_direction(q)
     zeros = _window_zeros(chart, q)
     if zeros is None:
         return None
-    levels = sorted({dot2(normal, z) for z in zeros})
-    if len(levels) != 2:
+    levels = _levels(chart, d, zeros)
+    if len(levels) != 2 or any(len(ks) < 2 for _, ks in levels):
         return None
-    lines = []
-    for i, level in enumerate(levels):
-        pts = [z for z in zeros if dot2(normal, z) == level]
-        if len(pts) < 2:
-            return None
-        # successor advances so that (advance, inward normal) is positively
-        # oriented: +direction on the low line, -direction on the high line
-        pts.sort(key=lambda z: dot2(direction, z))
-        if i == 1:
-            pts.reverse()
-        lines.append(tuple(pts))
-    return RigidConic(subconic(canonical_scale(q)),
-                      (lines[0], lines[1]), truncated=True)
+    return _strip(chart, d, *levels)
+
+
+def _levels(chart: Chart, d: tuple, indices) -> list:
+    """(level, window indices) per lattice level along the normal of d."""
+    normal = (-d[1], d[0])
+    levels: dict = {}
+    for k in indices:
+        levels.setdefault(dot2(normal, chart.lattice[k]), []).append(k)
+    return sorted(levels.items())
+
+
+def _strip(chart: Chart, d: tuple, lower: tuple, upper: tuple) -> RigidConic:
+    """The truncated strip between the `_levels` buckets lower = (lo, low)
+    and upper = (hi, high), lo < hi, of the canonical primitive direction d.
+    Its form (l - lo)(l - hi), l the normal functional, is negative exactly
+    between the lines; its successor advances +d on the low line and -d on
+    the high one, so (advance, inward normal) is positively oriented."""
+    L, ints, window = chart.surface.scale, chart.lattice, chart.window_points
+    (lo, low), (hi, high) = lower, upper
+    low, high = (sorted(ks, key=lambda k: dot2(d, ints[k]))
+                 for ks in (low, high))
+    q = _strip_form((-d[1], d[0]), Fraction(lo, L), Fraction(hi, L))
+    return RigidConic(Subconic(q, SubconicKind.STRIP),
+                      (tuple(window[k].position for k in low),
+                       tuple(window[k].position for k in reversed(high))),
+                      truncated=True)
 
 
 def rigid_conics(chart: Chart) -> list[RigidConic]:
     """All windowed rigid conics: empty-interior ellipses through >= 5 cone
     points (that fit the chart) and maximal strips with 2+2 boundary points.
 
-    Runs in the integer frame of the window: every position is an int pair
-    scaled by L, the least common denominator of the window positions.
+    Runs on the surface's lattice (`Chart.lattice`): every position is an
+    int pair scaled by the surface's scale.
 
     Ellipses come from a clique search over the chord graph of the visible
     points. An occluded point can block a chord too, and a cone point strictly
@@ -195,12 +207,11 @@ def rigid_conics(chart: Chart) -> list[RigidConic]:
     differences: window points are bucketed by their int level along the
     normal, and each pair of consecutive levels holding >= 2 points each is
     a maximal strip. No point lies strictly between consecutive levels and
-    the zero set is exactly the two buckets, so the strip is built from them
+    the zero set is exactly the two buckets, so `_strip` builds it from them
     directly. Only forms and boundaries are converted back to Fractions.
     """
     window = [p.position for p in chart.window_points]
-    L = common_denominator(c for p in window for c in p)
-    ints = [(scaled_int(x, L), scaled_int(y, L)) for x, y in window]
+    ints = chart.lattice
     n = len(chart.points)        # the visible points lead window_points
     found: dict[tuple, RigidConic] = {}
 
@@ -256,27 +267,11 @@ def rigid_conics(chart: Chart) -> list[RigidConic]:
                 dx, dy = -dx, -dy
             directions.add((dx, dy))
     for d in sorted(directions):
-        normal = (-d[1], d[0])
-        levels: dict = {}
-        for k, z in enumerate(ints):
-            levels.setdefault(dot2(normal, z), []).append(k)
-        order = sorted(levels)
-        for lo, hi in zip(order, order[1:]):
-            if len(levels[lo]) < 2 or len(levels[hi]) < 2:
-                continue
-            # successor advances so that (advance, inward normal) is
-            # positively oriented: +d on the low line, -d on the high line
-            low, high = (sorted(levels[lev], key=lambda k: dot2(d, ints[k]))
-                         for lev in (lo, hi))
-            # ((l - lo)(l - hi) with l the normal functional) is negative
-            # exactly between the two lines: always a strip
-            q = _strip_form(normal, Fraction(lo, L), Fraction(hi, L))
-            rigid = RigidConic(
-                Subconic(q, SubconicKind.STRIP),
-                (tuple(window[k] for k in low),
-                 tuple(window[k] for k in reversed(high))),
-                truncated=True)
-            found.setdefault(rigid.key(), rigid)
+        levels = _levels(chart, d, range(len(ints)))
+        for low, high in zip(levels, levels[1:]):
+            if len(low[1]) >= 2 and len(high[1]) >= 2:
+                rigid = _strip(chart, d, low, high)
+                found.setdefault(rigid.key(), rigid)
     return [found[k] for k in sorted(found)]
 
 
@@ -357,14 +352,14 @@ def feasible_region(chart: Chart, Z,
 
     Runs on ints. The basis form d_i is -lambda_j lambda_k, lambda being the
     barycentric coordinates of the counterclockwise triple P (j, k the two
-    indices after i). In the int frame of the re-based window (positions
-    times L, the least common denominator of the visible positions),
-    Lambda_k(w) = cross(P_i, P_j, w) for the cyclic order (i, j, k) is an
-    int and a positive multiple of lambda_k(w), the same multiple for every
-    w. So each constraint (a, b, c) = (d1 - d3, d2 - d3, d3)(w) is an int
-    multiple of the rational one by a positive factor, and the clipped
-    polygon and its T-plane coordinates do not change. A cone point is
-    strictly inside the triangle iff its three Lambdas are positive.
+    indices after i). On the lattice of the re-based chart (positions times
+    L, the surface's scale), Lambda_k(w) = cross(P_i, P_j, w) for the cyclic
+    order (i, j, k) is an int and a positive multiple of lambda_k(w), the
+    same multiple for every w. So each constraint (a, b, c) =
+    (d1 - d3, d2 - d3, d3)(w) is an int multiple of the rational one by a
+    positive factor, and the clipped polygon and its T-plane coordinates do
+    not change. A cone point is strictly inside the triangle iff its three
+    Lambdas are positive.
     """
     Z = [tuple(p) for p in Z]
     if len(Z) != 3 or len(set(Z)) != 3:
@@ -390,7 +385,7 @@ def feasible_region(chart: Chart, Z,
                 f"{z} is not a visible cone point of the re-based chart")
     basis = natural_basis(Z)
     ccw = basis.ordering
-    L = common_denominator(c for p in visible for c in p)
+    L = ch.surface.scale
     P = [(scaled_int(x, L), scaled_int(y, L)) for x, y in ccw]
     # Lambda_k(X, Y) = u X + v Y + c = cross(P_{k+1}, P_{k+2}, (X, Y))
     sides = []
@@ -400,10 +395,9 @@ def feasible_region(chart: Chart, Z,
     zset = set(Z)
     eq = tuple(equality) if equality is not None else None
     rows = []
-    for w in visible:
+    for w, (X, Y) in zip(visible, ch.lattice):
         if w in zset:
             continue
-        X, Y = scaled_int(w[0], L), scaled_int(w[1], L)
         l0, l1, l2 = (u * X + v * Y + c for u, v, c in sides)
         if w != eq and l0 > 0 and l1 > 0 and l2 > 0:
             raise NotRealizable(
@@ -579,7 +573,7 @@ def _anchor_reps(succ: dict, quad: set) -> list:
     """Ordered anchor pairs (x, y) with quad = {x, s(x)} | {y, s(y)}, s the
     successor map `succ`."""
     reps = []
-    for x in quad:
+    for x in sorted(quad):
         sx = succ.get(x)
         if sx is None or sx not in quad or sx == x:
             continue
@@ -799,10 +793,10 @@ def _absorb(cell: TwoCell, edges: dict, vertices: dict) -> None:
 # matching two windows
 #
 # Candidate maps are vetted on the int view of each window: every position of
-# its cell, edge and vertex keys times L, the least common denominator of
-# their coordinates. A positive scaling keeps the lexicographic order, so a
-# sorted key stays sorted and keys sort as their positions do; results go back
-# to positions only when they are read.
+# its cell, edge and vertex keys times L, the surface's scale (supporters
+# found on re-based charts lie on the lattice too). A positive scaling keeps
+# the lexicographic order, so a sorted key stays sorted and keys sort as their
+# positions do; results go back to positions only when they are read.
 
 @dataclass(frozen=True, eq=False)
 class _ConicInts:
@@ -853,7 +847,7 @@ class _WindowInts:
     def __init__(self, window: CellComplexWindow):
         positions = {p for keys in (window.cells, window.edges, window.vertices)
                      for key in keys for p in key}
-        self.L = L = common_denominator(c for p in positions for c in p)
+        self.L = L = window.chart.surface.scale
         self.pos = {p: (scaled_int(p[0], L), scaled_int(p[1], L))
                     for p in positions}
         self.frac = {P: p for p, P in self.pos.items()}
@@ -1159,7 +1153,7 @@ def _resolve_pairs(constraints, U: _ConicInts, U2: _ConicInts,
                     seeded = progress = True
                     break
             if not seeded:
-                for (x, sx) in pa:
+                for (x, sx) in sorted(pa):
                     hx = hints.get(x), hints.get(sx)
                     matches = [p2 for p2 in pb if p2[0] == hx[0] or p2[1] == hx[1]]
                     if len(matches) == 1:

@@ -10,13 +10,13 @@ Everything here is exact. Parsing makes every file number a Fraction, and
 polygons, gluings and the returned charts hold Fractions. Cone angles are
 counted on directions by exact orientation tests, and the immersion
 certificate `subconic_fits` decides its window bound by squaring out the
-square roots and scans the visible points on ints. The unfolding
-(`develop`, `locate`, and so `rebase`) runs in a per-call integer frame:
-coordinates are scaled by the least common denominator of the vertices and
-the base point (or the located position) and translated to that point, so
-the breadth-first placement search, the radius window, the visibility rays
-and point-in-polygon tests are exact Python int arithmetic. Results are
-converted back to Fraction only for the chart's positions and translations.
+square roots and scans the visible points on ints. A cone point or placement
+translation is a vertex plus a sum of edge vectors, so it lies on the
+surface's lattice Z^2 / `SurfaceDesc.scale` (`Chart.lattice`). The unfolding
+(`develop`, `locate`, and so `rebase`) runs on that lattice refined by the
+base point (or the located position) and translated to it: its search,
+window, visibility and point-in-polygon tests are exact int arithmetic, and
+only the chart's positions and translations go back to Fractions.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from functools import cached_property
+from typing import Sequence
 
 from .linalg import (Scalar, clear_denominators, common_denominator, cross,
                      fraction_str, primitive, scaled_int, sign_of)
@@ -74,6 +75,12 @@ class SurfaceDesc:
     gluings: dict  # (poly_id, edge) -> (poly_id, edge), symmetric
     cone_class: dict  # (poly_id, corner index) -> class label "c0", "c1", ...
     cone_angles: dict  # class label -> integer k (total angle 2*pi*k)
+
+    @cached_property
+    def scale(self) -> int:
+        """The LCD of the vertex coordinates: charts lie on Z^2 / scale."""
+        return common_denominator(c for _, verts in self.polygons
+                                  for v in verts for c in v)
 
     def polygon(self, pid: str) -> tuple[Point, ...]:
         for qid, verts in self.polygons:
@@ -296,15 +303,10 @@ def _comes_within(verts: Sequence[Point], rn: Scalar, rd: Scalar) -> bool:
     return _origin_side(verts) > 0
 
 
-def _frame(surface: SurfaceDesc, origin: Point, extra: Iterable[Scalar] = ()):
-    """The integer frame of the surface around `origin`.
-
-    Returns (L, ints): L is the least common denominator of the vertex
-    coordinates, the origin and `extra`; ints maps each polygon id to its
-    vertices as int pairs (v - origin) * L.
-    """
-    L = common_denominator([*origin, *extra, *(c for _, verts in surface.polygons
-                                                for v in verts for c in v)])
+def _frame(surface: SurfaceDesc, origin: Point):
+    """The int frame (L, ints): L the least int clearing `origin` and the
+    lattice, ints each polygon's vertices as int pairs (v - origin) * L."""
+    L = math.lcm(surface.scale, *(c.as_integer_ratio()[1] for c in origin))
     ox, oy = (scaled_int(c, L) for c in origin)
     return L, {pid: [(scaled_int(x, L) - ox, scaled_int(y, L) - oy)
                      for x, y in verts]
@@ -342,6 +344,13 @@ class Chart:
     def window_points(self) -> tuple[DevPoint, ...]:
         """Every cone point in the window: the visible ones, then the occluded."""
         return self.points + self.occluded
+
+    @cached_property
+    def lattice(self) -> tuple[tuple[int, int], ...]:
+        """Each window point's position times `surface.scale`, as ints."""
+        L = self.surface.scale
+        return tuple((scaled_int(p.position[0], L), scaled_int(p.position[1], L))
+                     for p in self.window_points)
 
 
 def default_base(surface: SurfaceDesc) -> tuple:
@@ -454,11 +463,10 @@ def locate(chart: Chart, position: Point):
 
     Prefers a placement containing the position strictly; falls back to a
     boundary placement. Raises if the position is outside every placement.
-    Runs in the integer frame of the position (whose L also clears the
-    placement translations).
+    Runs in the integer frame of the position: the placement translations
+    lie on the lattice, so its L clears them too.
     """
-    L, ints = _frame(chart.surface, position,
-                     [c for pl in chart.placements for c in pl.translation])
+    L, ints = _frame(chart.surface, position)
     boundary = None
     for pl in chart.placements:
         tx, ty = (scaled_int(c, L) for c in pl.translation)
@@ -493,102 +501,6 @@ def rebase(chart: Chart, position: Point, radius: Scalar = None) -> Chart:
                 for p in fresh.placements)
     return Chart(fresh.surface, _add(fresh.base, shift), fresh.base_locator,
                  fresh.radius, pts, occ, pls)
-
-
-# ---------------------------------------------------------------------------
-# inradius
-
-def _circumcenter(a: Point, b: Point, c: Point) -> Optional[Point]:
-    d = 2 * (a[0] * (b[1] - c[1]) + b[0] * (c[1] - a[1]) + c[0] * (a[1] - b[1]))
-    if d == 0:
-        return None
-    ux = ((a[0] ** 2 + a[1] ** 2) * (b[1] - c[1])
-          + (b[0] ** 2 + b[1] ** 2) * (c[1] - a[1])
-          + (c[0] ** 2 + c[1] ** 2) * (a[1] - b[1])) / d
-    uy = ((a[0] ** 2 + a[1] ** 2) * (c[0] - b[0])
-          + (b[0] ** 2 + b[1] ** 2) * (a[0] - c[0])
-          + (c[0] ** 2 + c[1] ** 2) * (b[0] - a[0])) / d
-    return (ux, uy)
-
-
-def _bisector_edge_points(s1: Point, s2: Point, a: Point, b: Point) -> list[Point]:
-    # intersection of the perpendicular bisector of s1 s2 with segment ab
-    mx, my = (Fraction(s1[0] + s2[0], 2), Fraction(s1[1] + s2[1], 2))
-    dx, dy = s2[0] - s1[0], s2[1] - s1[1]
-    # bisector: dx*(x-mx) + dy*(y-my) = 0; segment: a + t(b-a), 0<=t<=1
-    ex, ey = b[0] - a[0], b[1] - a[1]
-    denom = dx * ex + dy * ey
-    num = dx * (mx - a[0]) + dy * (my - a[1])
-    if denom == 0:
-        return []
-    t = num / denom
-    if 0 <= t <= 1:
-        return [(a[0] + t * ex, a[1] + t * ey)]
-    return []
-
-
-def inradius_bound(surface: SurfaceDesc) -> float:
-    """Max distance from a surface point to the nearest cone point.
-
-    Every embedded flat disc in the universal cover has radius at most this.
-    Computed exactly per polygon from Voronoi-type candidates (polygon
-    vertices, bisector/edge crossings, circumcenters) against the developed
-    cone points of a window around the polygon.
-    """
-    if not surface.cone_angles:
-        raise SurfaceError("surface has no cone points")
-    best = Fraction(0)
-    for pid, verts in surface.polygons:
-        diam2 = max(dist2(u, v) for u in verts for v in verts)
-        # phase 1: bound using the polygon's own corners only (valid upper
-        # bound: real distance-to-frontier only gets smaller with more sites)
-        bound2 = _maximin_dist2(verts, list(verts))
-        # phase 2: exact value against every developed cone point that can be
-        # the nearest one somewhere in the polygon
-        cen = default_base(SurfaceDesc(((pid, verts),), surface.gluings,
-                                       surface.cone_class, surface.cone_angles))[1]
-        window = _sqrt_upper(bound2) + _sqrt_upper(diam2)
-        chart = develop(surface, (pid, cen), window)
-        sites = [p.position for p in chart.window_points
-                 if _comes_within([_sub(v, p.position) for v in verts],
-                                  bound2.numerator, bound2.denominator)]
-        best = max(best, _maximin_dist2(verts, sites))
-    return math.sqrt(float(best))
-
-
-def _maximin_dist2(verts: Sequence[Point], sites: Sequence[Point]) -> Fraction:
-    """max over the polygon of squared distance to the nearest site, exact.
-
-    Candidate maximizers: polygon vertices, perpendicular-bisector crossings
-    with the polygon edges, circumcenters of site triples inside the polygon.
-    """
-    n = len(verts)
-    candidates = list(verts)
-    for i in range(len(sites)):
-        for j in range(i + 1, len(sites)):
-            for e in range(n):
-                candidates += _bisector_edge_points(sites[i], sites[j],
-                                                    verts[e], verts[(e + 1) % n])
-            for k in range(j + 1, len(sites)):
-                cc = _circumcenter(sites[i], sites[j], sites[k])
-                if cc is not None and point_in_polygon(cc, verts) >= 0:
-                    candidates.append(cc)
-    best = Fraction(0)
-    for cand in candidates:
-        if point_in_polygon(cand, verts) < 0:
-            continue
-        d2 = min(dist2(cand, s) for s in sites)
-        if d2 > best:
-            best = Fraction(d2)
-    return best
-
-
-def _sqrt_upper(x2: Scalar) -> Fraction:
-    """A rational upper bound for sqrt(x2)."""
-    r = Fraction(math.sqrt(float(x2)))
-    while r * r < x2:
-        r *= Fraction(105, 100)
-    return r
 
 
 # ---------------------------------------------------------------------------
@@ -648,11 +560,11 @@ def subconic_fits(chart: Chart, q: QForm3) -> Fit:
     the bound holds iff d < R^2 and R^2 + d - k t > k sqrt(D) + 2 R sqrt(d),
     which squaring twice turns into the rational tests below.
 
-    The point scan runs in the int frame of the base: with L the least
-    common denominator of the base and the visible positions, each visible
-    point is base + (X, Y)/L, and q moved to the base (`_int_form`) gives
-    the values alpha, beta, gamma of q along the ray base + t (X, Y)/L as
-    ints, all scaled by one positive factor. A point fails the certificate
+    The point scan runs in the int frame of the base (`_frame`): each
+    visible point is base + (X, Y)/L, its lattice point times L / scale less
+    the base, and q moved to the base (`_int_form`) gives the values alpha,
+    beta, gamma of q along the ray base + t (X, Y)/L as ints, all scaled by
+    one positive factor. A point fails the certificate
     when q is negative there (g(1) < 0) or when {q <= 0} meets its ray
     strictly beyond it (`_meets_beyond`).
     """
@@ -667,14 +579,13 @@ def subconic_fits(chart: Chart, q: QForm3) -> Fit:
     y = x * x - k * k * D - 4 * r2 * d
     if not (d < r2 and x > 0 and y > 0 and y * y > 16 * k * k * r2 * D * d):
         return Fit.INCONCLUSIVE
-    L = common_denominator([*chart.base, *(v for p in chart.points
-                                            for v in p.position)])
+    L, _ = _frame(chart.surface, chart.base)
+    m = L // chart.surface.scale
     bx, by = (scaled_int(v, L) for v in chart.base)
     qi = _int_form(q, chart.base)
     gamma = qi.a33 * L * L
-    for p in chart.points:
-        X = scaled_int(p.position[0], L) - bx
-        Y = scaled_int(p.position[1], L) - by
+    for X, Y in chart.lattice[:len(chart.points)]:
+        X, Y = X * m - bx, Y * m - by
         alpha = qi((X, Y, 0))
         beta = 2 * L * (qi.a13 * X + qi.a23 * Y)
         if alpha + beta + gamma < 0 or _meets_beyond(alpha, beta, gamma):

@@ -2,12 +2,13 @@
 
 Everything here goes through numpy least-squares / SVD on the raw monomial
 matrix rather than the package's pencil arithmetic, so agreement between the
-two routes is meaningful evidence. The reference unfolding, rigid conics,
-Veech check, 2-cell constraints and clipping, window scans and affine vetting
-at the end are the plain Fraction implementations that the integer-frame
-`develop`, `rigid_conics`, `feasible_region`, `_window_zeros` and
-`subconic_fits`, `veech_check`, and `matching_from_affine`,
-`frontier_bijection`, `reconstruct` and `discover_affine`, must match exactly.
+two routes is meaningful evidence. The reference unfolding, rigid conics and
+strips, Veech check, 2-cell constraints and clipping, window scans and affine
+vetting at the end are the plain Fraction implementations that the
+integer-frame `develop`, `rigid_conics`, `_strip_rigid`, `feasible_region`,
+`_window_zeros` and `subconic_fits`, `veech_check`, and
+`matching_from_affine`, `frontier_bijection`, `reconstruct` and
+`discover_affine`, must match exactly.
 """
 
 from collections import deque
@@ -326,8 +327,9 @@ def reference_rebase(chart, position, radius=None):
 # reference rigid conics and Veech check: the Fraction implementations that
 # the integer-frame `cellcomplex.rigid_conics` and the hoisted class test of
 # `veech.veech_check` must match exactly. O(n^2 m) chord blocking, one
-# conic_through_five solve per chord-visible 5-clique, and `_strip_rigid` on
-# every swept strip; the conic-class test runs inside the translation loop.
+# conic_through_five solve per chord-visible 5-clique, and
+# `reference_strip_rigid` on every swept strip; the conic-class test runs
+# inside the translation loop.
 
 def _ref_segment_blocked(points, a, b) -> bool:
     """Is some cone point strictly between a and b on the segment?"""
@@ -358,8 +360,38 @@ def _ref_primitive(d) -> tuple:
     return (p, q)
 
 
+def reference_strip_rigid(chart, q):
+    """Windowed maximal strip through the zero set of q, on positions: the
+    Fraction code that `cellcomplex._strip_rigid` must match."""
+    from flatconic.cellcomplex import RigidConic
+    from flatconic.linalg import dot2
+    from flatconic.quadform import canonical_scale
+    from flatconic.subconic import strip_direction, subconic
+    direction = strip_direction(q)
+    normal = (-direction[1], direction[0])
+    zeros = reference_window_zeros(chart, q)
+    if zeros is None:
+        return None
+    levels = sorted({dot2(normal, z) for z in zeros})
+    if len(levels) != 2:
+        return None
+    lines = []
+    for i, level in enumerate(levels):
+        pts = [z for z in zeros if dot2(normal, z) == level]
+        if len(pts) < 2:
+            return None
+        # successor advances so that (advance, inward normal) is positively
+        # oriented: +direction on the low line, -direction on the high line
+        pts.sort(key=lambda z: dot2(direction, z))
+        if i == 1:
+            pts.reverse()
+        lines.append(tuple(pts))
+    return RigidConic(subconic(canonical_scale(q)),
+                      (lines[0], lines[1]), truncated=True)
+
+
 def reference_rigid_conics(chart):
-    from flatconic.cellcomplex import _ellipse_rigid, _strip_form, _strip_rigid
+    from flatconic.cellcomplex import _ellipse_rigid, _strip_form
     from flatconic.linalg import dot2
     from flatconic.subconic import SubconicKind, conic_through_five
     pts = [p.position for p in chart.points]
@@ -411,7 +443,7 @@ def reference_rigid_conics(chart):
         for lo, hi in zip(order, order[1:]):
             if len(levels[lo]) < 2 or len(levels[hi]) < 2:
                 continue
-            rigid = _strip_rigid(chart, _strip_form(normal, lo, hi))
+            rigid = reference_strip_rigid(chart, _strip_form(normal, lo, hi))
             if rigid is not None:
                 found.setdefault(rigid.key(), rigid)
     return [found[k] for k in sorted(found)]
@@ -549,6 +581,10 @@ def reference_feasible_region(chart, Z, equality=None):
     try:
         ch = rebase(chart, centroid)
     except SurfaceError as exc:
+        # the centroid lies strictly inside the triangle
+        if any(p.position == centroid for p in chart.window_points):
+            raise NotRealizable(f"cone point {centroid} lies strictly inside "
+                                f"the triangle {Z}") from exc
         raise WindowTooSmall(
             f"cannot re-base at the centroid of {Z}: {exc}") from exc
     visible = [p.position for p in ch.points]
@@ -708,7 +744,7 @@ def reference_matching_from_affine(A, B, g, tau=(0, 0)):
 def _ref_anchor_reps(U, quad):
     succ = _ref_successor(U)
     reps = []
-    for x in quad:
+    for x in sorted(quad):
         sx = succ.get(x)
         if sx is None or sx not in quad or sx == x:
             continue
@@ -861,7 +897,7 @@ def _ref_resolve_pairs(constraints, U, U2, hints, final):
                     seeded = progress = True
                     break
             if not seeded:
-                for (x, sx) in pa:
+                for (x, sx) in sorted(pa):
                     hx = hints.get(x), hints.get(sx)
                     matches = [p2 for p2 in pb if p2[0] == hx[0] or p2[1] == hx[1]]
                     if len(matches) == 1:

@@ -22,6 +22,8 @@ from flatconic.cellcomplex import (
     CellMatching,
     NotRealizable,
     WindowTooSmall,
+    _strip_form,
+    _strip_rigid,
     _window_zeros,
     build_complex,
     complex_to_json,
@@ -39,7 +41,7 @@ from flatconic.cellcomplex import (
 from flatconic.linalg import cross
 from flatconic.models import square_torus, two_marked_torus
 from flatconic.quadform import QForm3, canonical_scale, ellipse_center, from_poly
-from flatconic.subconic import SubconicKind, contains
+from flatconic.subconic import SubconicKind, classify, contains
 from flatconic.surface import (SurfaceError, develop, dist2, parse_surface,
                                rebase, subconic_fits)
 
@@ -467,6 +469,9 @@ def _positive_multiple(row, ref) -> bool:
 @example((("stock", "torus"), None, F(6), SEED))
 # (1, 0) lies on a side of the triangle, not strictly inside it
 @example((("stock", "torus"), None, F(3), ((0, 0), (2, 0), (0, 2))))
+# the centroid (1/2, 1/2) is the marked point: no chart is based there
+@example((("marked", (F(1, 2), F(1, 2))), None, F(2),
+          ((F(1, 2), F(-1, 2)), (F(0), F(1)), (F(1), F(1)))))
 def test_int_two_cells_match_the_fraction_reference(case):
     spec, base, radius, Z = case
     chart = cached_chart(spec, base, radius)
@@ -495,6 +500,9 @@ def test_int_two_cells_match_the_fraction_reference(case):
 @example((("stock", "torus"), None, F(6), ((0, 0), (1, 0), (1, 1), (0, 1))))
 @example((("marked", (F(1, 3), F(1, 3))), None, F(2),
           ((F(-1), F(0)), (F(-2, 3), F(1, 3)), (F(0), F(0)), (F(1, 3), F(1, 3)))))
+# the centroid of the first three points is the cone point (0, 0)
+@example((("stock", "l_shape"), ("p0", (F(1, 2), F(1, 2))), F(2),
+          ((F(1), F(0)), (F(-1), F(1)), (F(0), F(-1)), (F(0), F(0)))))
 def test_realizable_quadruples_match_the_fraction_reference(case):
     # `equality` clipping: every triple of the quadruple is cut to the line
     # through the fourth point
@@ -562,10 +570,81 @@ def window_scan_cases(draw):
 def test_int_window_scans_match_the_fraction_reference(case):
     chart_case, q, recentre = case
     chart = cached_chart(*chart_case)
-    assert _window_zeros(chart, q) == oracles.reference_window_zeros(chart, q)
+    zeros = _window_zeros(chart, q)
+    window = chart.window_points
+    assert (None if zeros is None else [window[k].position for k in zeros]) \
+        == oracles.reference_window_zeros(chart, q)
     if recentre:
         try:
             chart = rebase(chart, ellipse_center(q))
         except SurfaceError:
             return
     assert subconic_fits(chart, q) is oracles.reference_subconic_fits(chart, q)
+
+
+# ---------------------------------------------------------------------------
+# the strip builder against the Fraction reference in oracles.py
+
+@functools.lru_cache(maxsize=None)
+def cached_strip_vertices(case):
+    """(triple, form) for every vertex of a budget-4 window's cells whose
+    form classifies as a strip."""
+    try:
+        window = build_complex(cached_chart(*case), budget=4)
+    except (NotRealizable, WindowTooSmall):
+        return ()
+    return tuple((key, form) for key, cell in sorted(window.cells.items())
+                 for t1, t2, _ in cell.polygon
+                 if classify(form := cellcomplex._form_at(cell.basis, t1, t2)
+                             ).kind is SubconicKind.STRIP)
+
+
+@st.composite
+def strip_cases(draw):
+    """(chart case, re-base point or None, form, whether the form must give
+    None): a strip vertex form of a 2-cell, or the `_strip_form` of two
+    levels along the direction of two window points, which must give None
+    when a level lies between them; the chart as developed, or re-based at
+    the centroid of a cell's triple."""
+    case = draw(chart_cases())
+    vertices = cached_strip_vertices(case)
+    assume(vertices)
+    triple, q = draw(st.sampled_from(vertices))
+    centre = None
+    if draw(st.booleans()):
+        centre = (sum(p[0] for p in triple) / 3, sum(p[1] for p in triple) / 3)
+    if not draw(st.booleans()):
+        return case, centre, q, False
+    window = [p.position for p in cached_chart(*case).window_points]
+    a, b = draw(st.lists(st.sampled_from(window), min_size=2, max_size=2,
+                         unique=True))
+    d = oracles._ref_primitive((b[0] - a[0], b[1] - a[1]))
+    normal = (-d[1], d[0])
+    levels = sorted({normal[0] * x + normal[1] * y for x, y in window})
+    i = draw(st.integers(0, len(levels) - 2))
+    j = draw(st.integers(i + 1, len(levels) - 1))
+    return case, centre, _strip_form(normal, levels[i], levels[j]), j > i + 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(strip_cases())
+@example(((("stock", "torus"), None, F(3)), None,
+          _strip_form((0, 1), F(0), F(1)), False))
+@example(((("stock", "torus"), None, F(3)), (F(1, 3), F(1, 3)),
+          _strip_form((0, 1), F(0), F(2)), True))
+# consecutive levels, the lower holding one window point: None
+@example(((("stock", "torus"), None, F(3)), None,
+          _strip_form((-1, 2), F(-6), F(-5)), False))
+@example(((("stretched_l",), None, F(2)), (F(1, 2), F(1, 3)),
+          _strip_form((-1, 0), F(1, 2), F(1)), False))
+def test_strips_match_the_fraction_reference(case):
+    chart_case, centre, q, must_be_none = case
+    chart = cached_chart(*chart_case)
+    if centre is not None:
+        chart = rebase(chart, centre)
+    got = _strip_rigid(chart, q)
+    ref = oracles.reference_strip_rigid(chart, q)
+    assert got == ref
+    assert repr(got) == repr(ref)
+    if must_be_none:
+        assert got is None

@@ -1,5 +1,6 @@
 """Surface descriptions, validation, and developing-map windows."""
 
+import math
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -8,6 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from flatconic.cellcomplex import build_complex
 from flatconic.models import l_shape, square_torus, two_marked_torus
 from flatconic.quadform import ellipse_center, from_poly
 from flatconic.subconic import (DegenerateConfiguration, SubconicKind,
@@ -18,7 +20,7 @@ from flatconic.surface import (
     SurfaceError,
     default_base,
     develop,
-    inradius_bound,
+    dist2,
     locate,
     parse_surface,
     rebase,
@@ -156,12 +158,6 @@ def test_scaled_multiplies_coordinates():
     assert doubled.polygon("p0") == ((0, 0), (2, 0), (2, 2), (0, 2))
 
 
-def test_inradius_bound_is_positive_and_fits_inside():
-    for s in (square_torus(), l_shape()):
-        r = inradius_bound(s)
-        assert 0 < r <= 1
-
-
 # ---------------------------------------------------------------------------
 # the integer-frame kernel against the Fraction reference in oracles.py
 
@@ -170,6 +166,43 @@ UNFOLDED = {path.stem: parse_surface(path.read_text())
             for path in sorted(STOCK.glob("*.tsurf"))}
 UNFOLDED["stretched_l"] = oracles.stretched_l()
 UNFOLDED["marked_third_fifth"] = two_marked_torus(marked=(F(1, 3), F(1, 5)))
+
+
+# ---------------------------------------------------------------------------
+# the surface's one lattice
+
+LATTICE_SURFACES = dict(UNFOLDED)
+LATTICE_SURFACES["mapped_l"] = l_shape().mapped(((2, F(1, 3)), (F(1, 7), 1)))
+
+
+@pytest.mark.parametrize("name", sorted(LATTICE_SURFACES))
+def test_every_chart_and_window_lies_on_the_surface_lattice(name):
+    surface = LATTICE_SURFACES[name]
+    L = surface.scale
+    assert L == math.lcm(*(F(c).denominator for _, verts in surface.polygons
+                           for v in verts for c in v))
+    charts = [develop(surface, radius=3)]
+    if name == "stretched_l":
+        # lists a cone point at its own base
+        charts.append(develop(surface, ("p0", (2, 0)), 4))
+    for chart in list(charts):
+        # halfway to the nearest cone point: inside the window and on no
+        # cone point
+        near = min(chart.points, key=lambda p: (dist2(p.position, chart.base),
+                                                p.position)).position
+        charts.append(rebase(chart, ((chart.base[0] + near[0]) / 2,
+                                     (chart.base[1] + near[1]) / 2)))
+    for chart in charts:
+        assert chart.lattice == tuple((p.position[0] * L, p.position[1] * L)
+                                      for p in chart.window_points)
+        assert all(type(c) is int for P in chart.lattice for c in P)
+        assert all(L % F(c).denominator == 0
+                   for pl in chart.placements for c in pl.translation)
+    window = build_complex(charts[0], budget=6)
+    assert window.cells
+    keys = [k for keys in (window.cells, window.edges, window.vertices)
+            for k in keys]
+    assert all(L % F(c).denominator == 0 for k in keys for p in k for c in p)
 
 
 @st.composite
