@@ -42,7 +42,7 @@ from .linalg import (Scalar, clear_denominators, common_denominator,
                      convex_hull_ccw, cross, dot2, fraction_str, primitive,
                      scaled_int, sign_of)
 from .quadform import (CollinearTripleError, NaturalBasis, QForm3,
-                       canonical_scale, combine, ellipse_center,
+                       canonical_scale, combine, congruent, ellipse_center,
                        natural_basis)
 from .subconic import (Subconic, SubconicKind, classify, conic_through_five,
                        strip_direction, subconic)
@@ -85,6 +85,11 @@ class RigidConic:
         return tuple(self.boundary[0]) + tuple(self.boundary[1])
 
     def key(self) -> tuple:
+        """The sorted boundary positions; sorted once per conic."""
+        return self._key
+
+    @cached_property
+    def _key(self) -> tuple:
         return _pos_key(self.boundary_points())
 
     def successor(self) -> dict:
@@ -820,21 +825,6 @@ def _form_class(coeffs) -> tuple:
     return tuple(c // g for c in coeffs)
 
 
-def _congruent(coeffs, M, s, w) -> tuple:
-    """The coefficients of K^T Q K for K = (M, s; 0, w), Q the symmetric
-    matrix of `coeffs`."""
-    a11, a22, a33, a12, a13, a23 = coeffs
-    (m00, m01), (m10, m11) = M
-    s0, s1 = s
-    p00, p10 = a11 * m00 + a12 * m10, a12 * m00 + a22 * m10   # A M
-    p01, p11 = a11 * m01 + a12 * m11, a12 * m01 + a22 * m11
-    u0 = a11 * s0 + a12 * s1 + w * a13                        # A s + w b
-    u1 = a12 * s0 + a22 * s1 + w * a23
-    return (m00 * p00 + m10 * p10, m01 * p01 + m11 * p11,
-            s0 * u0 + s1 * u1 + w * (a13 * s0 + a23 * s1 + w * a33),
-            m00 * p01 + m10 * p11, m00 * u0 + m10 * u1, m01 * u0 + m11 * u1)
-
-
 class _WindowInts:
     """The int view of a window (see above), built once per window.
 
@@ -989,8 +979,8 @@ def matching_from_affine(A: CellComplexWindow, B: CellComplexWindow,
     shift = (b * t1 - d * t0, c * t0 - a * t1)
     vertices = {}
     for k, form in va.forms.items():
-        ik = vb.by_form.get(_form_class(_congruent(form, M, shift,
-                                                   a * d - b * c)))
+        ik = vb.by_form.get(_form_class(congruent(form, M, shift,
+                                                  a * d - b * c)))
         if ik is not None:
             vertices[k] = ik
     return CellMatching._on_views(va, vb, faces, edges, vertices)

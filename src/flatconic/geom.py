@@ -1,11 +1,12 @@
 """Homothety classes of rigid conics and their points in the hyperbolic plane.
 
 `class_key` is the one invariant of a conic's homothety class: an exact
-rational key that the Veech check compares. `h_point` derives from it the
-class's point of the closed upper half-plane, and `mobius` moves such points
-by a rational matrix. Both are exact: an interior point keeps its rational
-real part and the rational square of its imaginary part, and is rounded once,
-when printed or drawn. The float metric layer of the ellipse lemma lives in
+rational key. `h_point` derives from it, injectively, the class's point of
+the closed upper half-plane, and `mobius` moves such points by a rational
+matrix; the Veech check compares classes as h-points under that action.
+Both are exact: an interior point keeps its rational real part and the
+rational square of its imaginary part, and is rounded once, when printed or
+drawn. The float metric layer of the ellipse lemma lives in
 `flatconic.lemma`.
 """
 

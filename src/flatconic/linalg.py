@@ -106,23 +106,6 @@ def nullspace(rows: Sequence[Sequence[Scalar]],
     return basis
 
 
-def solve(matrix: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]):
-    """Solve a small square exact system; returns Fractions. Raises on singular."""
-    n = len(rhs)
-    a = [[Fraction(matrix[i][j]) for j in range(n)] + [Fraction(rhs[i])] for i in range(n)]
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("singular system")
-        a[k], a[piv] = a[piv], a[k]
-        for i in range(n):
-            if i != k and a[i][k] != 0:
-                f = a[i][k] / a[k][k]
-                for j in range(k, n + 1):
-                    a[i][j] -= f * a[k][j]
-    return tuple(a[i][n] / a[i][i] for i in range(n))
-
-
 def real_rooted_signs(coeffs: Sequence[Scalar]) -> tuple[int, int, int]:
     """(positive, negative, zero) root counts of a real-rooted polynomial.
 

@@ -10,17 +10,20 @@ so the xy / xz / yz *polynomial* coefficients are twice the stored entries.
 Every operation is exact over the rationals: signatures, radicals, pencils,
 scalings and affine images are computed on ints and Fractions, and a float
 input is taken at its exact binary value.
+
+`congruent` is the one form congruence: K^T A K for an affine K = (M, s;
+0, w), on ints or Fractions. Affine images (`transform_by_affine`), forms
+moved to a new origin, and forms carried between the int frames of two
+windows all go through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Sequence
 
-from .linalg import (Scalar, cross, nullspace, sign_of, solve,
-                     symmetric_signature)
+from .linalg import Scalar, cross, nullspace, sign_of, symmetric_signature
 
 Vec3 = tuple[Scalar, Scalar, Scalar]
 
@@ -70,11 +73,6 @@ class QForm3:
         return not any(self.coeffs())
 
 
-def from_coeff_vector(v: Sequence[Scalar]) -> QForm3:
-    """Inverse of QForm3.coeffs()."""
-    return QForm3(*v)
-
-
 def from_poly(A: Scalar, B: Scalar, C: Scalar, D: Scalar, E: Scalar, F: Scalar) -> QForm3:
     """Form of the polynomial A x² + B xy + C y² + D x + E y + F."""
     return QForm3(A, C, F, Fraction(B) / 2, Fraction(D) / 2, Fraction(E) / 2)
@@ -120,7 +118,7 @@ def forms_vanishing_on(points: Sequence[Vec3]) -> list[QForm3]:
     if len(points) > 5:
         raise ValueError("at most 5 point constraints are supported")
     rows = [_evaluation_row(v) for v in points]
-    return [from_coeff_vector(v) for v in nullspace(rows, 6)]
+    return [QForm3(*v) for v in nullspace(rows, 6)]
 
 
 def _line_through(u: Vec3, v: Vec3) -> Vec3:
@@ -217,22 +215,17 @@ def degenerate_members(F: Sequence[Sequence[Scalar]]) -> list[QForm3]:
 def pencil_coefficients(q: QForm3, basis: NaturalBasis) -> tuple[Scalar, Scalar, Scalar]:
     """Write q = sum c_i d_i in the natural basis of a pencil.
 
+    The kernel of the 6x4 system [d1 d2 d3 | -q] holds (c, 1) up to scale.
     Raises ValueError if q is not in the span of the basis.
     """
-    cols = [d.coeffs() for d in basis.forms]
-    target = q.coeffs()
-    for rows in combinations(range(6), 3):
-        mat = [[cols[j][i] for j in range(3)] for i in rows]
-        try:
-            c = solve(mat, [target[i] for i in rows])
-        except ZeroDivisionError:
-            continue
-        break
-    else:
-        raise ValueError("pencil basis is degenerate")
-    if combine(zip(c, basis.forms)).coeffs() != target:
+    cols = [d.coeffs() for d in basis.forms] + [[-v for v in q.coeffs()]]
+    ker = nullspace([[col[i] for col in cols] for i in range(6)], 4)
+    if not ker:
         raise ValueError("form is not in the pencil of the triple")
-    return c
+    if len(ker) > 1 or ker[0][3] == 0:
+        raise ValueError("pencil basis is degenerate")
+    *c, t = ker[0]
+    return tuple(x / t for x in c)
 
 
 def canonical_scale(q: QForm3) -> QForm3:
@@ -263,25 +256,36 @@ def ellipse_center(q: QForm3) -> tuple[Fraction, Fraction]:
     return ((b * e - c * d) / det, (b * d - a * e) / det)
 
 
+def congruent(coeffs, M, s, w) -> tuple:
+    """The coefficients of K^T A K for K = (M, s; 0, w), A the symmetric
+    matrix of `coeffs` (in `QForm3.coeffs()` order): the form x -> q(K x).
+    Generic over ints and Fractions."""
+    a11, a22, a33, a12, a13, a23 = coeffs
+    (m00, m01), (m10, m11) = M
+    s0, s1 = s
+    p00, p10 = a11 * m00 + a12 * m10, a12 * m00 + a22 * m10   # A M
+    p01, p11 = a11 * m01 + a12 * m11, a12 * m01 + a22 * m11
+    u0 = a11 * s0 + a12 * s1 + w * a13                        # A s + w b
+    u1 = a12 * s0 + a22 * s1 + w * a23
+    return (m00 * p00 + m10 * p10, m01 * p01 + m11 * p11,
+            s0 * u0 + s1 * u1 + w * (a13 * s0 + a23 * s1 + w * a33),
+            m00 * p01 + m10 * p11, m00 * u0 + m10 * u1, m01 * u0 + m11 * u1)
+
+
 def transform_by_affine(q: QForm3, g, tau) -> QForm3:
     """Form of the image region: x in g·U + tau  iff  (new form)(x̂) < 0.
 
-    g is a 2x2 invertible matrix (rows), tau a 2-vector. Exact over rationals.
+    g is a 2x2 invertible matrix (rows), tau a 2-vector. Exact over
+    rationals: the congruence by the lifted inverse (g^-1, -g^-1 tau; 0, 1),
+    which sends x̂ to (g^-1(x - tau), 1). Its entries are Fractions, so
+    every image coefficient is a Fraction.
     """
     (a, b), (c, d) = ((Fraction(x) for x in row) for row in g)
-    tau = (Fraction(tau[0]), Fraction(tau[1]))
+    t0, t1 = Fraction(tau[0]), Fraction(tau[1])
     det = a * d - b * c
     if det == 0:
         raise ValueError("singular linear part")
     inv = ((d / det, -b / det), (-c / det, a / det))
-    # lifted inverse M sends x̂ to (g^{-1}(x - tau), 1); new Gram is M^T A M
-    m = ((inv[0][0], inv[0][1], -(inv[0][0] * tau[0] + inv[0][1] * tau[1])),
-         (inv[1][0], inv[1][1], -(inv[1][0] * tau[0] + inv[1][1] * tau[1])),
-         (0, 0, 1))
-    A = q.gram()
-
-    def entry(i, j):
-        return sum(m[r][i] * A[r][s] * m[s][j] for r in range(3) for s in range(3))
-
-    return QForm3(entry(0, 0), entry(1, 1), entry(2, 2),
-                  entry(0, 1), entry(0, 2), entry(1, 2))
+    shift = (-(inv[0][0] * t0 + inv[0][1] * t1),
+             -(inv[1][0] * t0 + inv[1][1] * t1))
+    return QForm3(*congruent(q.coeffs(), inv, shift, 1))

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import Scalar, common_denominator, nullspace, primitive, sign_of
+from .linalg import Scalar, clear_denominators, primitive, sign_of
 from .quadform import (QForm3, canonical_scale, forms_vanishing_on, lift,
                        signature, signature_restriction)
 
@@ -106,14 +106,15 @@ def strip_direction(q: QForm3) -> tuple[int, int]:
     """Direction of the boundary lines of a strip (kernel of q̲), canonical sign.
 
     A primitive integer vector with second coordinate positive, or first
-    positive when the direction is horizontal.
+    positive when the direction is horizontal. On ints, a nonzero rank-1
+    restriction [[a, b], [b, c]] (ac = b^2) has its kernel spanned by
+    (b, -a), or by (c, -b) when a = b = 0.
     """
-    ker = nullspace(q.gram_restriction(), 2)
-    if len(ker) != 1:
+    (a, b), (_, c) = q.gram_restriction()
+    a, b, c = clear_denominators((a, b, c))
+    if a * c != b * b or not (a or b or c):
         raise ValueError("form is not a strip (direction kernel is not a line)")
-    u, v = ker[0]
-    den = common_denominator((u, v))
-    p, r = primitive(int(u * den), int(v * den))
+    p, r = primitive(*((b, -a) if a or b else (c, -b)))
     if r < 0 or (r == 0 and p < 0):
         p, r = -p, -r
     return (p, r)

@@ -32,7 +32,7 @@ from typing import Sequence
 
 from .linalg import (Scalar, clear_denominators, common_denominator, cross,
                      fraction_str, primitive, scaled_int, sign_of)
-from .quadform import QForm3, ellipse_center, lift
+from .quadform import QForm3, congruent, ellipse_center, lift
 
 Point = tuple[Scalar, Scalar]
 
@@ -226,7 +226,8 @@ def parse_surface(text: str) -> SurfaceDesc:
             pid = entry["id"]
             verts = tuple((_to_scalar(v[0]), _to_scalar(v[1]))
                           for v in entry["vertices"])
-        except (KeyError, TypeError, IndexError, ValueError) as e:
+        except (KeyError, TypeError, IndexError, ValueError,
+                ZeroDivisionError, OverflowError) as e:
             raise SurfaceError(f"bad polygon entry {entry!r}: {e}") from None
         polys.append((pid, verts))
     pairs = []
@@ -234,7 +235,8 @@ def parse_surface(text: str) -> SurfaceDesc:
         try:
             pairs.append(((entry["a"][0], int(entry["a"][1])),
                           (entry["b"][0], int(entry["b"][1]))))
-        except (KeyError, TypeError, IndexError, ValueError) as e:
+        except (KeyError, TypeError, IndexError, ValueError,
+                OverflowError) as e:
             raise SurfaceError(f"bad gluing entry {entry!r}: {e}") from None
     return validate_surface(polys, pairs)
 
@@ -520,11 +522,8 @@ def _int_form(q: QForm3, origin: Point) -> QForm3:
     has q-value of the sign of this form at (X, Y, L), since the form is
     homogeneous of degree 2 and k L^2 > 0.
     """
-    (a, b), (_, c) = q.gram_restriction()
-    ox, oy = origin
-    d = a * ox + b * oy + q.a13
-    e = b * ox + c * oy + q.a23
-    return QForm3(*clear_denominators((a, c, q(lift(origin)), b, d, e)))
+    return QForm3(*clear_denominators(
+        congruent(q.coeffs(), ((1, 0), (0, 1)), origin, 1)))
 
 
 def _meets_beyond(alpha, beta, gamma) -> bool:

@@ -7,7 +7,10 @@ is a rational square. `discover_affine` proposes candidate maps on positions,
 and each candidate is vetted on ints in each window's frame (the int views of
 `cellcomplex`); only the certified maps and their matchings come back as
 positions. The Veech check's safe sub-window compares squared distances
-against the operator norm of g with the square root squared out.
+against the operator norm of g with the square root squared out, and its
+class test is the Mobius action of g on h-points: a rigid conic's image has
+the class `mobius(g, h_point(U))`, since `h_point` is injective on homothety
+classes and exactly equivariant.
 """
 
 from __future__ import annotations
@@ -20,10 +23,9 @@ from typing import Optional
 from .cellcomplex import (CellComplexWindow, CellMatching, _face_id,
                           frontier_bijection, matching_from_affine,
                           rigid_conics)
-from .geom import class_key, h_point
+from .geom import h_point, mobius
 from .linalg import (apply_affine, common_denominator, convex_hull_ccw,
                      scaled_int)
-from .quadform import transform_by_affine
 from .surface import Chart, SurfaceDesc, develop, dist2
 
 
@@ -286,17 +288,15 @@ def veech_check(surface: SurfaceDesc, g, radius=6,
 
     if conics is None:
         conics = rigid_conics(chart)
-    # the window's homothety classes; translation-invariant, so robust
-    # against the window truncating the image conic differently
-    classes = {class_key(U.subconic) for U in conics}
+    # the window's homothety classes as h-points; translation-invariant, so
+    # robust against the window truncating the image conic differently
+    classes = {h_point(U.subconic) for U in conics}
     safe_conics = [U for U in conics
                    if all(p in safe_set for p in U.boundary_points())]
-    # the class of the image reads only its Gram restriction, which the
+    # g moves a class by the Mobius action on its h-point, which the
     # translation does not touch: one test serves every candidate tau
     mismatched = next((U for U in safe_conics
-                       if class_key(transform_by_affine(U.subconic.form, g,
-                                                        (0, 0)))
-                       not in classes), None)
+                       if mobius(g, h_point(U.subconic)) not in classes), None)
 
     best_detail = "no translation candidate matches the cone points"
     for tau in taus:

@@ -8,7 +8,10 @@ vetting at the end are the plain Fraction implementations that the
 integer-frame `develop`, `rigid_conics`, `_strip_rigid`, `feasible_region`,
 `_window_zeros` and `subconic_fits`, `veech_check`, and
 `matching_from_affine`, `frontier_bijection`, `reconstruct` and
-`discover_affine`, must match exactly.
+`discover_affine`, must match exactly. They read affine images, strip
+directions and homothety classes from their own `reference_transform_by_affine`
+(the 3x3 congruence summed entry by entry), `reference_strip_direction` (a
+nullspace) and `reference_class_key`, not from the package.
 """
 
 from collections import deque
@@ -360,14 +363,67 @@ def _ref_primitive(d) -> tuple:
     return (p, q)
 
 
+def reference_transform_by_affine(q, g, tau):
+    """Form of the image region x in g U + tau: the 3x3 congruence by the
+    lifted inverse, summed entry by entry over Fractions."""
+    from flatconic.quadform import QForm3
+    (a, b), (c, d) = ((Fraction(x) for x in row) for row in g)
+    tau = (Fraction(tau[0]), Fraction(tau[1]))
+    det = a * d - b * c
+    if det == 0:
+        raise ValueError("singular linear part")
+    inv = ((d / det, -b / det), (-c / det, a / det))
+    # lifted inverse M sends x̂ to (g^{-1}(x - tau), 1); new Gram is M^T A M
+    m = ((inv[0][0], inv[0][1], -(inv[0][0] * tau[0] + inv[0][1] * tau[1])),
+         (inv[1][0], inv[1][1], -(inv[1][0] * tau[0] + inv[1][1] * tau[1])),
+         (0, 0, 1))
+    A = q.gram()
+
+    def entry(i, j):
+        return sum(m[r][i] * A[r][s] * m[s][j] for r in range(3) for s in range(3))
+
+    return QForm3(entry(0, 0), entry(1, 1), entry(2, 2),
+                  entry(0, 1), entry(0, 2), entry(1, 2))
+
+
+def reference_strip_direction(q):
+    """Primitive direction of a strip's boundary lines, read from the
+    nullspace of its restriction; second coordinate positive, or first
+    positive when horizontal."""
+    from flatconic.linalg import common_denominator, nullspace, primitive
+    ker = nullspace(q.gram_restriction(), 2)
+    if len(ker) != 1:
+        raise ValueError("form is not a strip (direction kernel is not a line)")
+    u, v = ker[0]
+    den = common_denominator((u, v))
+    p, r = primitive(int(u * den), int(v * den))
+    if r < 0 or (r == 0 and p < 0):
+        p, r = -p, -r
+    return (p, r)
+
+
+def reference_class_key(U):
+    """Homothety class key: strips by `reference_strip_direction`, ellipses
+    by the restriction up to positive scale."""
+    from flatconic.subconic import Subconic, SubconicKind, classify
+    q = U.form if isinstance(U, Subconic) else U
+    kind = (U.kind if isinstance(U, Subconic) else classify(q).kind)
+    if kind is SubconicKind.STRIP:
+        return ("strip", *reference_strip_direction(q))
+    if kind is SubconicKind.ELLIPSE_INTERIOR:
+        (a, b), (_, c) = q.gram_restriction()
+        return ("ellipse", Fraction(b) / Fraction(a), Fraction(c) / Fraction(a))
+    raise ValueError(f"no homothety class for kind {kind.value}")
+
+
 def reference_strip_rigid(chart, q):
     """Windowed maximal strip through the zero set of q, on positions: the
     Fraction code that `cellcomplex._strip_rigid` must match."""
     from flatconic.cellcomplex import RigidConic
     from flatconic.linalg import dot2
     from flatconic.quadform import canonical_scale
-    from flatconic.subconic import strip_direction, subconic
-    direction = strip_direction(q)
+    from flatconic.subconic import subconic
+    direction = reference_strip_direction(q)
     normal = (-direction[1], direction[0])
     zeros = reference_window_zeros(chart, q)
     if zeros is None:
@@ -450,8 +506,6 @@ def reference_rigid_conics(chart):
 
 
 def reference_veech_check(surface, g, radius=6, chart=None, conics=None):
-    from flatconic.geom import class_key
-    from flatconic.quadform import transform_by_affine
     from flatconic.surface import develop, dist2
     from flatconic.veech import VeechVerdict
     g = ((Fraction(g[0][0]), Fraction(g[0][1])),
@@ -490,7 +544,7 @@ def reference_veech_check(surface, g, radius=6, chart=None, conics=None):
 
     if conics is None:
         conics = reference_rigid_conics(chart)
-    classes = {class_key(U.subconic) for U in conics}
+    classes = {reference_class_key(U.subconic) for U in conics}
     safe_conics = [U for U in conics
                    if all(dist2(p, base) <= safe2 for p in U.boundary_points())]
 
@@ -510,8 +564,8 @@ def reference_veech_check(surface, g, radius=6, chart=None, conics=None):
             continue
         mismatched = None
         for U in safe_conics:
-            q2 = transform_by_affine(U.subconic.form, g, tau)
-            if class_key(q2) not in classes:
+            q2 = reference_transform_by_affine(U.subconic.form, g, tau)
+            if reference_class_key(q2) not in classes:
                 mismatched = U
                 break
         if mismatched is not None:
@@ -715,7 +769,7 @@ def _ref_successor(U):
 def reference_matching_from_affine(A, B, g, tau=(0, 0)):
     from flatconic.cellcomplex import CellMatching
     from flatconic.linalg import apply_affine
-    from flatconic.quadform import canonical_scale, transform_by_affine
+    from flatconic.quadform import canonical_scale
 
     def image_key(key):
         return _ref_pos_key([apply_affine(g, tau, p) for p in key])
@@ -734,7 +788,7 @@ def reference_matching_from_affine(A, B, g, tau=(0, 0)):
     by_form = {canonical_scale(U.subconic.form).coeffs(): key
                for key, U in B.vertices.items()}
     for key, U in A.vertices.items():
-        q2 = transform_by_affine(U.subconic.form, g, tau)
+        q2 = reference_transform_by_affine(U.subconic.form, g, tau)
         ik = by_form.get(canonical_scale(q2).coeffs())
         if ik is not None:
             vertices[key] = ik

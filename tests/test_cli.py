@@ -47,10 +47,34 @@ def test_missing_file_is_an_input_error(capsys):
     assert main(["develop", "/no/such/file.tsurf"]) == 2
 
 
+MALFORMED = {
+    "not-json": "{this is not json",
+    # bad numbers: a zero denominator, and JSON infinities as a vertex
+    # coordinate and as a gluing index
+    "zero-denominator": (
+        '{"polygons": [{"id": "p0", "vertices": '
+        '[["0", "0"], ["1/0", "0"], ["1", "1"], ["0", "1"]]}], '
+        '"gluings": [{"a": ["p0", 0], "b": ["p0", 2]}, '
+        '{"a": ["p0", 1], "b": ["p0", 3]}]}'),
+    "infinite-vertex": (
+        '{"polygons": [{"id": "p0", "vertices": '
+        '[[0, 0], [Infinity, 0], [1, 1], [0, 1]]}], '
+        '"gluings": [{"a": ["p0", 0], "b": ["p0", 2]}, '
+        '{"a": ["p0", 1], "b": ["p0", 3]}]}'),
+    "infinite-gluing-index": (
+        '{"polygons": [{"id": "p0", "vertices": '
+        '[[0, 0], [1, 0], [1, 1], [0, 1]]}], '
+        '"gluings": [{"a": ["p0", Infinity], "b": ["p0", 2]}, '
+        '{"a": ["p0", 1], "b": ["p0", 3]}]}'),
+}
+
+
 def test_malformed_surface_is_an_input_error(tmp_path, capsys):
-    bad = tmp_path / "bad.tsurf"
-    bad.write_text("{this is not json")
-    assert main(["develop", str(bad)]) == 2
+    for name, text in MALFORMED.items():
+        bad = tmp_path / f"{name}.tsurf"
+        bad.write_text(text)
+        assert main(["develop", str(bad)]) == 2, name
+        assert capsys.readouterr().err.startswith("error: "), name
 
 
 def test_complex_default_run(torus_file, capsys):

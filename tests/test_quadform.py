@@ -191,3 +191,44 @@ def test_transform_by_affine_composes():
            g2[1][0] * t1[0] + g2[1][1] * t1[1] + t2[1])
     q2 = transform_by_affine(UNIT_CIRCLE, comp, tau)
     assert canonical_scale(q1).coeffs() == canonical_scale(q2).coeffs()
+
+
+RATIONALS = st.fractions(-6, 6, max_denominator=9)
+# int coefficients too: the image form must still hold only Fractions
+FORMS = st.builds(QForm3, *([st.one_of(st.integers(-6, 6), RATIONALS)] * 6))
+
+
+@st.composite
+def invertible_maps(draw):
+    g = ((draw(RATIONALS), draw(RATIONALS)), (draw(RATIONALS), draw(RATIONALS)))
+    if g[0][0] * g[1][1] == g[0][1] * g[1][0]:
+        # a singular draw becomes an invertible map of either sign
+        g = ((draw(st.sampled_from((1, -1))), g[0][1]), (0, 1))
+    return g
+
+
+@settings(max_examples=200, deadline=None)
+@given(FORMS, invertible_maps(), st.tuples(RATIONALS, RATIONALS))
+def test_transform_by_affine_matches_the_reference(q, g, tau):
+    got = transform_by_affine(q, g, tau)
+    ref = oracles.reference_transform_by_affine(q, g, tau)
+    assert got == ref
+    assert repr(got) == repr(ref)
+
+
+NONCOLLINEAR = st.lists(st.tuples(RATIONALS, RATIONALS), min_size=3,
+                        max_size=3, unique=True).filter(
+    lambda Z: (Z[1][0] - Z[0][0]) * (Z[2][1] - Z[0][1])
+    != (Z[1][1] - Z[0][1]) * (Z[2][0] - Z[0][0]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(NONCOLLINEAR, st.tuples(RATIONALS, RATIONALS, RATIONALS), FORMS)
+def test_pencil_coefficients_recover_the_combination(Z, c, off):
+    nb = natural_basis(Z)
+    q = combine(zip(c, nb.forms))
+    assert pencil_coefficients(q, nb) == c
+    # a form off the pencil is nonzero at some point of the triple
+    if any(off(lift(p)) != 0 for p in Z):
+        with pytest.raises(ValueError, match="not in the pencil"):
+            pencil_coefficients(combine([(1, q), (1, off)]), nb)

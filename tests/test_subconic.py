@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from flatconic.quadform import canonical_scale, from_poly, lift
+from flatconic.quadform import QForm3, canonical_scale, from_poly, lift
 from flatconic.subconic import (
     DegenerateConfiguration,
     SubconicKind,
@@ -114,6 +114,44 @@ def test_strip_direction_exact_primitive():
 def test_strip_direction_rejects_non_strips():
     with pytest.raises(ValueError):
         strip_direction(DISC)
+
+
+RATIONALS = st.fractions(-6, 6, max_denominator=9)
+
+
+@st.composite
+def restrictions(draw):
+    """Forms whose restriction is rank 1 (u ⊗ u up to scale, u horizontal
+    included), arbitrary (mostly rank 2), or zero; the linear part is
+    arbitrary."""
+    rank = draw(st.sampled_from((0, 1, 1, 2)))
+    if rank == 1:
+        u0, u1 = draw(RATIONALS), draw(RATIONALS)
+        k = draw(RATIONALS.filter(bool))
+        if not (u0 or u1):
+            u0 = 1
+        a11, a12, a22 = k * u0 * u0, k * u0 * u1, k * u1 * u1
+    elif rank == 2:
+        a11, a12, a22 = draw(RATIONALS), draw(RATIONALS), draw(RATIONALS)
+    else:
+        a11 = a12 = a22 = 0
+    rest = [draw(RATIONALS) for _ in range(3)]
+    return QForm3(a11, a22, rest[0], a12, rest[1], rest[2])
+
+
+@settings(max_examples=200, deadline=None)
+@example(QForm3(0, 3, -1, 0, 0, 2))          # a11 = a12 = 0
+@example(QForm3(0, 0, 1, 0, 1, 0))           # zero restriction
+@example(QForm3(1, 1, -1, 0, 0, 0))          # rank 2
+@given(restrictions())
+def test_strip_direction_matches_the_reference(q):
+    try:
+        ref = oracles.reference_strip_direction(q)
+    except ValueError:
+        with pytest.raises(ValueError, match="not a strip"):
+            strip_direction(q)
+        return
+    assert strip_direction(q) == ref
 
 
 def test_conic_through_five_recovers_a_circle():

@@ -219,7 +219,7 @@ VERDICT_STRATA = {
     "L-R4": (l_shape(), 4),
 }
 VERDICT_MATRICES = (T, S, ((1, 2), (0, 1)), ((2, 1), (1, 1)),
-                    ((1, F(1, 2)), (0, 1)))
+                    ((1, F(1, 2)), (0, 1)), ((2, 0), (0, F(1, 2))))
 
 
 @pytest.mark.parametrize("stratum", sorted(VERDICT_STRATA))
@@ -278,8 +278,28 @@ def test_image_class_does_not_depend_on_the_translation(q, g, tau):
         class_key(transform_by_affine(q, g, (0, 0)))
 
 
-@settings(max_examples=60, deadline=None)
-@given(RIGID_FORMS, st.sampled_from(SL2Z_SMALL))
+def _matmul(a, b):
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(2))
+                       for j in range(2)) for i in range(2))
+
+
+# rational det-1 matrices, as veech_check receives them: diag(k, 1/k) w and
+# [[1, p/q], [0, 1]] w for w in SL(2, Z)
+RATIONAL_SL2 = st.one_of(
+    st.sampled_from(SL2Z_SMALL),
+    st.builds(lambda k, w: _matmul(((k, 0), (0, 1 / k)), w),
+              st.fractions(F(1, 5), 5, max_denominator=5),
+              st.sampled_from(SL2Z_SMALL)),
+    st.builds(lambda t, w: _matmul(((1, t), (0, 1)), w),
+              st.fractions(-3, 3, max_denominator=7),
+              st.sampled_from(SL2Z_SMALL)))
+
+
+@settings(max_examples=120, deadline=None)
+@example(QForm3(1, 1, -1, 0, 0, 0), ((2, 0), (0, F(1, 2))))
+# a horizontal strip, at infinity, moved by a non-integral rational g
+@example(QForm3(0, 1, 0, 0, 0, F(-1, 2)), ((F(1, 2), 0), (2, 2)))
+@given(RIGID_FORMS, RATIONAL_SL2)
 def test_h_point_is_exactly_equivariant(q, g):
     assert mobius(g, h_point(q)) == h_point(transform_by_affine(q, g, (0, 0)))
 
