@@ -6,11 +6,13 @@ the rigid immersed ellipses and strips through at least three of them
 (`rigid_conics`), and assembles the polygonal two-cells they bound into a
 windowed cell complex (`build_complex`).  Affine maps between two such
 windows can be certified cell-by-cell (`matching_from_affine`,
-`reconstruct`, `discover_affine`), which yields a windowed Veech-group
-membership test (`veech_check`) and a hyperbolic tessellation of the window
-(`tessellate`, `render_svg`) at the exact h-points of the rigid conics
-(`h_point`).  The package runs on the standard library alone; the float
-layer of the ellipse lemma needs numpy and is imported from `flatconic.lemma`.
+`reconstruct`, `discover_affine`), and a hyperbolic tessellation of the
+window is drawn (`tessellate`, `render_svg`) at the exact h-points of the
+rigid conics (`h_point`). Veech-group membership (`veech_check`) needs no
+window: g is a member iff the Delaunay decompositions of g S and S differ by
+a translation (`flatconic.delaunay`).  The package runs on the standard
+library alone; the float layer of the ellipse lemma needs numpy and is
+imported from `flatconic.lemma`.
 """
 
 from .quadform import (
@@ -18,12 +20,10 @@ from .quadform import (
     QForm3,
     canonical_scale,
     combine,
-    degenerate_members,
     forms_vanishing_on,
     from_poly,
     lift,
     natural_basis,
-    pencil_coefficients,
     radical,
     signature,
     signature_restriction,
@@ -35,7 +35,6 @@ from .subconic import (
     classify,
     conic_through_five,
     contains,
-    is_nowhere_negative,
     strip_direction,
     subconic,
 )

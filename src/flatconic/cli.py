@@ -1,5 +1,9 @@
-"""Command-line interface: develop charts, build cell complexes, check Veech
+"""Command-line interface: develop charts, build cell complexes, decide Veech
 membership, rebuild affine maps between surfaces, and render tessellations.
+
+`veech-check` decides on the whole surface, by the Delaunay isomorphism of
+`flatconic.delaunay`; its `--radius` is only checked to be positive and
+echoed in the verdict line.
 
 Exit codes: 0 success, 2 input error, 3 infeasible request (seed not
 realizable, or the window is too small to decide), 4 certification
@@ -56,6 +60,33 @@ def _parse_seed(text: str):
     return tuple(points)
 
 
+def _budget(text: str) -> int:
+    try:
+        budget = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if budget < 1:
+        raise argparse.ArgumentTypeError(f"budget must be at least 1, "
+                                         f"got {budget}")
+    return budget
+
+
+# the half-plane SVG is at most 600 (horizon + 0.3) pixels high
+_MAX_HORIZON = 10 ** 6
+
+
+def _horizon(text: str) -> float:
+    try:
+        horizon = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    if not 0 < horizon <= _MAX_HORIZON:     # also false for nan
+        raise argparse.ArgumentTypeError(
+            f"horizon must be positive and at most {_MAX_HORIZON}, "
+            f"got {text!r}")
+    return horizon
+
+
 def _parse_matrix(text: str):
     parts = text.split(",")
     if len(parts) != 4:
@@ -105,9 +136,8 @@ def cmd_veech(args) -> int:
     if a * d - b * c != 1:
         print("error: matrix must have determinant 1", file=sys.stderr)
         return 2
-    verdict = veech_check(surface, args.matrix, radius=args.radius)
-    print(verdict)
-    return 0 if verdict.verdict in ("member-in-window", "rejected") else 3
+    print(veech_check(surface, args.matrix, radius=args.radius))
+    return 0
 
 
 def cmd_rebuild(args) -> int:
@@ -116,7 +146,7 @@ def cmd_rebuild(args) -> int:
     chart_a = develop(source, radius=args.radius)
     chart_b = develop(target, radius=args.radius)
     A = build_complex(chart_a, budget=args.budget)
-    B = build_complex(chart_b, budget=args.target_budget or args.budget)
+    B = build_complex(chart_b, budget=args.target_budget)
     rec, phi = discover_affine(A, B)
     if rec.homothety is None:   # irrational: g / sqrt(det g)
         root = f"sqrt({fraction_str(rec.det)})"
@@ -176,7 +206,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            metavar="X,Y;X,Y;X,Y",
                            help="seed triple (default: nearest realizable)")
         if budget:
-            p.add_argument("--budget", type=int, default=20,
+            p.add_argument("--budget", type=_budget, default=20,
                            help="2-cell budget (default 20)")
         if out:
             p.add_argument("--out", default=None, help="output file "
@@ -193,11 +223,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_complex)
 
     p = sub.add_parser("veech-check",
-                       help="verify Veech-group membership on a window")
+                       help="decide Veech-group membership on the whole "
+                            "surface")
     p.add_argument("surface")
     p.add_argument("--matrix", type=_parse_matrix, required=True,
                    metavar="A,B,C,D", help="candidate matrix, row major")
-    p.add_argument("--radius", type=_frac, default=Fraction(6))
+    p.add_argument("--radius", type=_frac, default=Fraction(6),
+                   help="positive; only echoed in the verdict line")
     p.set_defaults(func=cmd_veech)
 
     p = sub.add_parser("rebuild",
@@ -205,8 +237,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("source")
     p.add_argument("target")
     p.add_argument("--radius", type=_frac, default=Fraction(6))
-    p.add_argument("--budget", type=int, default=12)
-    p.add_argument("--target-budget", type=int, default=20,
+    p.add_argument("--budget", type=_budget, default=12)
+    p.add_argument("--target-budget", type=_budget, default=20,
                    dest="target_budget")
     p.set_defaults(func=cmd_rebuild)
 
@@ -217,7 +249,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--svg", default=None, help="write an SVG file here")
     p.add_argument("--model", choices=("halfplane", "disc"),
                    default="halfplane")
-    p.add_argument("--horizon", type=float, default=4.0,
+    p.add_argument("--horizon", type=_horizon, default=4.0,
                    help="height cut for ideal vertices (halfplane model)")
     p.set_defaults(func=cmd_tessellate)
     return top

@@ -3,7 +3,7 @@
 `class_key` is the one invariant of a conic's homothety class: an exact
 rational key. `h_point` derives from it, injectively, the class's point of
 the closed upper half-plane, and `mobius` moves such points by a rational
-matrix; the Veech check compares classes as h-points under that action.
+matrix g exactly as g moves the classes (`h_point` is equivariant).
 Both are exact: an interior point keeps its rational real part and the
 rational square of its imaginary part, and is rounded once, when printed or
 drawn. The float metric layer of the ellipse lemma lives in

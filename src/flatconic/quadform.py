@@ -190,44 +190,6 @@ def natural_basis(Z: Sequence[Sequence[Scalar]]) -> NaturalBasis:
     return NaturalBasis(ds[0], ds[1], ds[2], tuple(pts))
 
 
-def degenerate_members(F: Sequence[Sequence[Scalar]]) -> list[QForm3]:
-    """The three line-pair members of the pencil through a planar quadruple.
-
-    One per partition of the four points into two pairs; requires general
-    position (no three collinear).
-    """
-    if len(F) != 4:
-        raise ValueError("expected 4 points")
-    pts = [(Fraction(x), Fraction(y)) for x, y in F]
-    for i in range(4):
-        others = [pts[j] for j in range(4) if j != i]
-        if sign_of(cross(*others)) == 0:
-            raise ValueError(f"three collinear points among {pts}")
-    lifts = [lift(p) for p in pts]
-    out = []
-    for (a, b), (c, d) in (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))):
-        out.append(canonical_scale(
-            _product_form(_line_through(lifts[a], lifts[b]),
-                          _line_through(lifts[c], lifts[d]))))
-    return out
-
-
-def pencil_coefficients(q: QForm3, basis: NaturalBasis) -> tuple[Scalar, Scalar, Scalar]:
-    """Write q = sum c_i d_i in the natural basis of a pencil.
-
-    The kernel of the 6x4 system [d1 d2 d3 | -q] holds (c, 1) up to scale.
-    Raises ValueError if q is not in the span of the basis.
-    """
-    cols = [d.coeffs() for d in basis.forms] + [[-v for v in q.coeffs()]]
-    ker = nullspace([[col[i] for col in cols] for i in range(6)], 4)
-    if not ker:
-        raise ValueError("form is not in the pencil of the triple")
-    if len(ker) > 1 or ker[0][3] == 0:
-        raise ValueError("pencil basis is degenerate")
-    *c, t = ker[0]
-    return tuple(x / t for x in c)
-
-
 def canonical_scale(q: QForm3) -> QForm3:
     """Deterministic representative of the positive-scaling class of q.
 

@@ -119,8 +119,3 @@ def strip_direction(q: QForm3) -> tuple[int, int]:
         p, r = -p, -r
     return (p, r)
 
-
-def is_nowhere_negative(q: QForm3) -> bool:
-    """True iff q >= 0 on all of 3-space, i.e. U_q is certainly empty."""
-    n_pos, n_neg, n_zero = signature(q)
-    return n_neg == 0

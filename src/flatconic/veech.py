@@ -1,16 +1,14 @@
-"""Affine reconstruction between explored windows and windowed Veech-group
-membership checks, plus the hyperbolic tessellation of a cell complex.
+"""Affine reconstruction between explored windows, exact Veech-group
+membership, and the hyperbolic tessellation of a cell complex.
 
 Everything that decides a verdict is exact. An affine map keeps its rational
 matrix, and its homothety sqrt(det g) is taken as a rational only when det g
 is a rational square. `discover_affine` proposes candidate maps on positions,
 and each candidate is vetted on ints in each window's frame (the int views of
 `cellcomplex`); only the certified maps and their matchings come back as
-positions. The Veech check's safe sub-window compares squared distances
-against the operator norm of g with the square root squared out, and its
-class test is the Mobius action of g on h-points: a rigid conic's image has
-the class `mobius(g, h_point(U))`, since `h_point` is injective on homothety
-classes and exactly equivariant.
+positions. `veech_check` needs no window: g is in the Veech group iff the
+Delaunay decompositions of g S and S are isomorphic by a translation
+(`flatconic.delaunay`), which is decided on the whole surface.
 """
 
 from __future__ import annotations
@@ -21,12 +19,12 @@ from fractions import Fraction
 from typing import Optional
 
 from .cellcomplex import (CellComplexWindow, CellMatching, _face_id,
-                          frontier_bijection, matching_from_affine,
-                          rigid_conics)
-from .geom import h_point, mobius
+                          frontier_bijection, matching_from_affine)
+from .delaunay import NotIsomorphic, delaunay, isomorphism
+from .geom import h_point
 from .linalg import (apply_affine, common_denominator, convex_hull_ccw,
                      scaled_int)
-from .surface import Chart, SurfaceDesc, develop, dist2
+from .surface import SurfaceDesc, SurfaceError
 
 
 @dataclass(frozen=True)
@@ -217,15 +215,15 @@ def discover_affine(A: CellComplexWindow, B: CellComplexWindow):
 
 
 # ---------------------------------------------------------------------------
-# membership in the Veech group, verified on a window
+# membership in the Veech group, decided on the whole surface
 
 @dataclass
 class VeechVerdict:
-    verdict: str                 # member-in-window | rejected | inconclusive
+    verdict: str                 # member-in-window | rejected
     radius: object
     translation: Optional[tuple]
-    checked_points: int
     detail: str
+    sides: Optional[tuple] = None    # members: the Delaunay side map
 
     def __str__(self):
         return f"{self.verdict} (R={self.radius})"
@@ -235,94 +233,40 @@ class VeechVerdict:
         return self.verdict == "member-in-window"
 
 
-def veech_check(surface: SurfaceDesc, g, radius=6,
-                chart: Optional[Chart] = None,
-                conics: Optional[list] = None) -> VeechVerdict:
-    """Windowed membership test for a unimodular matrix g.
+def veech_check(surface: SurfaceDesc, g, radius=6) -> VeechVerdict:
+    """Exact membership test for a matrix g of determinant 1.
 
-    Develops a chart of the given radius, then looks for a translation
-    making z -> g z + t a bijection of the windowed cone points on the safe
-    sub-window (radius R/||g||, so images stay inside the chart) that also
-    maps every rigid conic there onto a rigid conic of the same homothety
-    class. Verdicts: member-in-window / rejected / inconclusive.
-
-    A point p is safe iff d ||g||^2 <= R^2 with d = |p - base|^2. For det g
-    = 1 and t = ||g||_F^2, ||g||^2 = (t + sqrt(t^2 - 4)) / 2, so this holds
-    iff u = 2R^2 - d t >= 0 and d^2 (t^2 - 4) <= u^2.
+    g is in the Veech group of the surface iff the Delaunay decompositions
+    of g S and of S differ by a translation, which `delaunay.isomorphism`
+    decides on the whole surface, in the int frame of lcm(S.scale,
+    gS.scale). A member verdict carries the isomorphism as its certificate:
+    `sides[i]` is the side of S's decomposition that side i of g S's goes
+    to, and `translation` carries side 0 of g S's, as developed, onto its
+    image. A rejection's detail names the first mismatch. The radius is only
+    checked to be positive and echoed in the verdict line.
     """
     g = ((Fraction(g[0][0]), Fraction(g[0][1])),
          (Fraction(g[1][0]), Fraction(g[1][1])))
     det = g[0][0] * g[1][1] - g[0][1] * g[1][0]
     if det != 1:
         raise ValueError(f"matrix must have determinant 1, got {det}")
-    if chart is None:
-        chart = develop(surface, None, radius)
-    positions = {p.position for p in chart.window_points}
-    base = chart.base
-    r2 = Fraction(radius) ** 2
-    frob = sum(x * x for row in g for x in row)
-
-    def is_safe(p) -> bool:
-        d = dist2(p, base)
-        u = 2 * r2 - d * frob
-        return u >= 0 and d * d * (frob * frob - 4) <= u * u
-
-    safe_set = {p for p in positions if is_safe(p)}
-    safe_pts = sorted(safe_set)
-    if not safe_pts:
-        return VeechVerdict("inconclusive", radius, None, 0,
-                            "safe sub-window contains no cone points")
-
-    inv = ((g[1][1], -g[0][1]), (-g[1][0], g[0][0]))
-
-    def unapply(p, tau):
-        q = (p[0] - tau[0], p[1] - tau[1])
-        return (inv[0][0] * q[0] + inv[0][1] * q[1],
-                inv[1][0] * q[0] + inv[1][1] * q[1])
-
-    anchor = min(safe_pts, key=lambda p: (dist2(p, base), p))
-    g_anchor = apply_affine(g, (0, 0), anchor)
-    taus = sorted({(w[0] - g_anchor[0], w[1] - g_anchor[1])
-                   for w in positions},
-                  key=lambda t: (t[0] * t[0] + t[1] * t[1], t))
-
-    if conics is None:
-        conics = rigid_conics(chart)
-    # the window's homothety classes as h-points; translation-invariant, so
-    # robust against the window truncating the image conic differently
-    classes = {h_point(U.subconic) for U in conics}
-    safe_conics = [U for U in conics
-                   if all(p in safe_set for p in U.boundary_points())]
-    # g moves a class by the Mobius action on its h-point, which the
-    # translation does not touch: one test serves every candidate tau
-    mismatched = next((U for U in safe_conics
-                       if mobius(g, h_point(U.subconic)) not in classes), None)
-
-    best_detail = "no translation candidate matches the cone points"
-    for tau in taus:
-        ok = True
-        for p in safe_pts:
-            image = apply_affine(g, tau, p)
-            if dist2(image, base) <= r2 and image not in positions:
-                ok = False
-                break
-            pre = unapply(p, tau)
-            if pre not in positions and is_safe(pre):
-                ok = False
-                break
-        if not ok:
-            continue
-        if mismatched is not None:
-            best_detail = (f"cone points match for t={tau} but the rigid "
-                           f"conic {mismatched.key()} maps to an unseen "
-                           "homothety class")
-            continue
-        return VeechVerdict("member-in-window", radius, tau,
-                            len(safe_pts),
-                            f"bijective on {len(safe_pts)} cone points, "
-                            f"{len(safe_conics)} rigid conic classes matched")
-    return VeechVerdict("rejected", radius, None, len(safe_pts),
-                        best_detail)
+    if radius <= 0:
+        raise SurfaceError("radius must be positive")
+    image = surface.mapped(g)
+    scale = math.lcm(surface.scale, image.scale)
+    a, b = delaunay(image, scale), delaunay(surface, scale)
+    try:
+        sides = isomorphism(a, b)
+    except NotIsomorphic as e:
+        return VeechVerdict("rejected", radius, None,
+                            f"the Delaunay decompositions of g S (first) "
+                            f"and S (second) differ: {e}")
+    tau = tuple(Fraction(q - p, scale)
+                for p, q in zip(a.starts[0], b.starts[sides[0]]))
+    return VeechVerdict("member-in-window", radius, tau,
+                        f"a translation carries the {a.cells} Delaunay cells "
+                        f"of g S onto those of S, side for side "
+                        f"({len(sides)} sides)", sides)
 
 
 # ---------------------------------------------------------------------------

@@ -3,15 +3,19 @@
 Everything here goes through numpy least-squares / SVD on the raw monomial
 matrix rather than the package's pencil arithmetic, so agreement between the
 two routes is meaningful evidence. The reference unfolding, rigid conics and
-strips, Veech check, 2-cell constraints and clipping, window scans and affine
-vetting at the end are the plain Fraction implementations that the
-integer-frame `develop`, `rigid_conics`, `_strip_rigid`, `feasible_region`,
-`_window_zeros` and `subconic_fits`, `veech_check`, and
-`matching_from_affine`, `frontier_bijection`, `reconstruct` and
-`discover_affine`, must match exactly. They read affine images, strip
-directions and homothety classes from their own `reference_transform_by_affine`
-(the 3x3 congruence summed entry by entry), `reference_strip_direction` (a
-nullspace) and `reference_class_key`, not from the package.
+strips, 2-cell constraints and clipping, window scans and affine vetting are
+the plain Fraction implementations that the integer-frame `develop`,
+`rigid_conics`, `_strip_rigid`, `feasible_region`, `_window_zeros` and
+`subconic_fits`, and `matching_from_affine`, `frontier_bijection`,
+`reconstruct` and `discover_affine`, must match exactly. They read affine
+images and strip directions from their own `reference_transform_by_affine`
+(the 3x3 congruence summed entry by entry) and `reference_strip_direction` (a
+nullspace), not from the package.
+
+Veech-group membership has its ground truth at the end, from lattice
+arithmetic and the SL(2,Z) action on origamis, never from flatconic. Pencil
+and signature helpers that no pipeline code needs live here too, with their
+tests.
 """
 
 from collections import deque
@@ -327,12 +331,10 @@ def reference_rebase(chart, position, radius=None):
 
 
 # ---------------------------------------------------------------------------
-# reference rigid conics and Veech check: the Fraction implementations that
-# the integer-frame `cellcomplex.rigid_conics` and the hoisted class test of
-# `veech.veech_check` must match exactly. O(n^2 m) chord blocking, one
+# reference rigid conics: the Fraction implementation that the integer-frame
+# `cellcomplex.rigid_conics` must match exactly. O(n^2 m) chord blocking, one
 # conic_through_five solve per chord-visible 5-clique, and
-# `reference_strip_rigid` on every swept strip; the conic-class test runs
-# inside the translation loop.
+# `reference_strip_rigid` on every swept strip.
 
 def _ref_segment_blocked(points, a, b) -> bool:
     """Is some cone point strictly between a and b on the segment?"""
@@ -400,20 +402,6 @@ def reference_strip_direction(q):
     if r < 0 or (r == 0 and p < 0):
         p, r = -p, -r
     return (p, r)
-
-
-def reference_class_key(U):
-    """Homothety class key: strips by `reference_strip_direction`, ellipses
-    by the restriction up to positive scale."""
-    from flatconic.subconic import Subconic, SubconicKind, classify
-    q = U.form if isinstance(U, Subconic) else U
-    kind = (U.kind if isinstance(U, Subconic) else classify(q).kind)
-    if kind is SubconicKind.STRIP:
-        return ("strip", *reference_strip_direction(q))
-    if kind is SubconicKind.ELLIPSE_INTERIOR:
-        (a, b), (_, c) = q.gram_restriction()
-        return ("ellipse", Fraction(b) / Fraction(a), Fraction(c) / Fraction(a))
-    raise ValueError(f"no homothety class for kind {kind.value}")
 
 
 def reference_strip_rigid(chart, q):
@@ -503,82 +491,6 @@ def reference_rigid_conics(chart):
             if rigid is not None:
                 found.setdefault(rigid.key(), rigid)
     return [found[k] for k in sorted(found)]
-
-
-def reference_veech_check(surface, g, radius=6, chart=None, conics=None):
-    from flatconic.surface import develop, dist2
-    from flatconic.veech import VeechVerdict
-    g = ((Fraction(g[0][0]), Fraction(g[0][1])),
-         (Fraction(g[1][0]), Fraction(g[1][1])))
-    det = g[0][0] * g[1][1] - g[0][1] * g[1][0]
-    if det != 1:
-        raise ValueError(f"matrix must have determinant 1, got {det}")
-    if chart is None:
-        chart = develop(surface, None, radius)
-    positions = {p.position for p in chart.window_points}
-    base = chart.base
-    safe = float(radius) / float(np.linalg.norm(np.array(g, dtype=float), 2))
-    safe2 = Fraction(safe) ** 2
-    r2 = Fraction(radius) ** 2
-    safe_pts = sorted(p for p in positions if dist2(p, base) <= safe2)
-    if not safe_pts:
-        return VeechVerdict("inconclusive", radius, None, 0,
-                            "safe sub-window contains no cone points")
-
-    def apply(p, tau):
-        return (g[0][0] * p[0] + g[0][1] * p[1] + tau[0],
-                g[1][0] * p[0] + g[1][1] * p[1] + tau[1])
-
-    inv = ((g[1][1], -g[0][1]), (-g[1][0], g[0][0]))
-
-    def unapply(p, tau):
-        q = (p[0] - tau[0], p[1] - tau[1])
-        return (inv[0][0] * q[0] + inv[0][1] * q[1],
-                inv[1][0] * q[0] + inv[1][1] * q[1])
-
-    anchor = min(safe_pts, key=lambda p: (dist2(p, base), p))
-    g_anchor = apply(anchor, (0, 0))
-    taus = sorted({(w[0] - g_anchor[0], w[1] - g_anchor[1])
-                   for w in positions},
-                  key=lambda t: (t[0] * t[0] + t[1] * t[1], t))
-
-    if conics is None:
-        conics = reference_rigid_conics(chart)
-    classes = {reference_class_key(U.subconic) for U in conics}
-    safe_conics = [U for U in conics
-                   if all(dist2(p, base) <= safe2 for p in U.boundary_points())]
-
-    best_detail = "no translation candidate matches the cone points"
-    for tau in taus:
-        ok = True
-        for p in safe_pts:
-            image = apply(p, tau)
-            if dist2(image, base) <= r2 and image not in positions:
-                ok = False
-                break
-            pre = unapply(p, tau)
-            if dist2(pre, base) <= safe2 and pre not in positions:
-                ok = False
-                break
-        if not ok:
-            continue
-        mismatched = None
-        for U in safe_conics:
-            q2 = reference_transform_by_affine(U.subconic.form, g, tau)
-            if reference_class_key(q2) not in classes:
-                mismatched = U
-                break
-        if mismatched is not None:
-            best_detail = (f"cone points match for t={tau} but the rigid "
-                           f"conic {mismatched.key()} maps to an unseen "
-                           "homothety class")
-            continue
-        return VeechVerdict("member-in-window", radius, tau,
-                            len(safe_pts),
-                            f"bijective on {len(safe_pts)} cone points, "
-                            f"{len(safe_conics)} rigid conic classes matched")
-    return VeechVerdict("rejected", radius, None, len(safe_pts),
-                        best_detail)
 
 
 # ---------------------------------------------------------------------------
@@ -1125,3 +1037,198 @@ def reference_discover_affine(A, B):
 
     certified.sort(key=size)
     return certified[0]
+
+
+# ---------------------------------------------------------------------------
+# Veech-group ground truth, with no flatconic call: the lattice for the tori,
+# g.m = +m or -m mod Z^2 for the two-marked tori, and the SL(2,Z) action on
+# the L as an origami.
+
+T = ((1, 1), (0, 1))
+T_INV = ((1, -1), (0, 1))
+S = ((0, -1), (1, 0))
+LETTERS = {"T": T, "t": T_INV, "S": S}
+
+
+def mat_mul(a, b):
+    return ((a[0][0] * b[0][0] + a[0][1] * b[1][0],
+             a[0][0] * b[0][1] + a[0][1] * b[1][1]),
+            (a[1][0] * b[0][0] + a[1][1] * b[1][0],
+             a[1][0] * b[0][1] + a[1][1] * b[1][1]))
+
+
+def word_matrix(word: str):
+    """The product of the letters T, t (= T^-1) and S, left to right."""
+    g = ((1, 0), (0, 1))
+    for ch in word:
+        g = mat_mul(g, LETTERS[ch])
+    return g
+
+
+def is_sl2z(g) -> bool:
+    entries = [Fraction(x) for row in g for x in row]
+    return (all(x.denominator == 1 for x in entries)
+            and entries[0] * entries[3] - entries[1] * entries[2] == 1)
+
+
+def torus_member(g) -> bool:
+    """Square or sheared torus: both have period lattice Z^2, Gamma = SL(2,Z)."""
+    return is_sl2z(g)
+
+
+def _mod1(x) -> Fraction:
+    x = Fraction(x)
+    return x - (x.numerator // x.denominator)
+
+
+def marked_class(g, m) -> tuple:
+    """g.m mod Z^2 up to sign: the coset of g in SL(2,Z) / Gamma."""
+    p = (_mod1(g[0][0] * m[0] + g[0][1] * m[1]),
+         _mod1(g[1][0] * m[0] + g[1][1] * m[1]))
+    q = (_mod1(-p[0]), _mod1(-p[1]))
+    return min(p, q)
+
+
+def two_marked_member(g, m) -> bool:
+    """Torus with marked points 0 and m: g is affine iff it permutes the
+    two marked points, i.e. g.m = +m or -m mod Z^2."""
+    return is_sl2z(g) and marked_class(g, m) == marked_class(((1, 0), (0, 1)), m)
+
+
+# the L as an origami: squares 0 = [0,1]^2, 1 = right of 0, 2 = above 0. h
+# sends a square to its right neighbour, v to the one above: ((0 1), (0 2))
+# in zero-based labels, ((1 2), (1 3)) in Schmithuesen's (2004) notation
+L_ORIGAMI = ((1, 0, 2), (2, 1, 0))
+
+
+def _compose(p, q):
+    """p after q."""
+    return tuple(p[q[i]] for i in range(len(q)))
+
+
+def _inverse(p):
+    inv = [0] * len(p)
+    for i, j in enumerate(p):
+        inv[j] = i
+    return tuple(inv)
+
+
+def _canonical(o):
+    from itertools import permutations
+    h, v = o
+    best = None
+    for sigma in permutations(range(len(h))):
+        si = _inverse(sigma)
+        cand = (_compose(sigma, _compose(h, si)), _compose(sigma, _compose(v, si)))
+        if best is None or cand < best:
+            best = cand
+    return best
+
+
+def _act_letter(letter, o):
+    h, v = o
+    if letter == "T":       # shear right: new up-neighbour is v after h^-1
+        return (h, _compose(v, _inverse(h)))
+    if letter == "t":
+        return (h, _compose(v, h))
+    if letter == "S":       # rotate by +90 degrees
+        return (_inverse(v), h)
+    raise ValueError(letter)
+
+
+def sl2z_word(g) -> str:
+    """Letters T, t, S whose left-to-right product is g (Euclid on the
+    first column)."""
+    if not is_sl2z(g):
+        raise ValueError(f"{g} is not in SL(2,Z)")
+    (a, b), (c, d) = ((int(g[0][0]), int(g[0][1])), (int(g[1][0]), int(g[1][1])))
+    word = []
+    while c != 0:
+        q = a // c
+        word.append(("T" if q > 0 else "t") * abs(q) + "S")
+        # M <- S^-1 T^-q M
+        a, b = a - q * c, b - q * d
+        a, b, c, d = c, d, -a, -b
+    if a == -1:             # -T^-b = S S T^-b
+        word.append("SS")
+        b = -b
+    word.append(("T" if b > 0 else "t") * abs(b))
+    return "".join(word)
+
+
+def origami_class(g, origami=L_ORIGAMI) -> tuple:
+    """The isomorphism class of g.origami; g is in Gamma iff it is the
+    class of the origami itself."""
+    o = origami
+    for letter in reversed(sl2z_word(g)):
+        o = _act_letter(letter, o)
+    return _canonical(o)
+
+
+def l_member(g) -> bool:
+    return is_sl2z(g) and origami_class(g) == _canonical(L_ORIGAMI)
+
+
+def member(surface: tuple, g) -> bool:
+    """Truth for a surface spec ("torus" | "sheared" | "L" | ("tm", m))."""
+    kind = surface[0]
+    if kind in ("torus", "sheared"):
+        return torus_member(g)
+    if kind == "L":
+        return l_member(g)
+    if kind == "tm":
+        return two_marked_member(g, surface[1])
+    raise ValueError(kind)
+
+
+# ---------------------------------------------------------------------------
+# pencil and signature helpers that no pipeline code calls, moved here from
+# `quadform` and `subconic` with their tests
+
+def degenerate_members(F):
+    """The three line-pair members of the pencil through a planar quadruple.
+
+    One per partition of the four points into two pairs; requires general
+    position (no three collinear).
+    """
+    from flatconic.linalg import cross, sign_of
+    from flatconic.quadform import (_line_through, _product_form,
+                                    canonical_scale, lift)
+    if len(F) != 4:
+        raise ValueError("expected 4 points")
+    pts = [(Fraction(x), Fraction(y)) for x, y in F]
+    for i in range(4):
+        others = [pts[j] for j in range(4) if j != i]
+        if sign_of(cross(*others)) == 0:
+            raise ValueError(f"three collinear points among {pts}")
+    lifts = [lift(p) for p in pts]
+    out = []
+    for (a, b), (c, d) in (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))):
+        out.append(canonical_scale(
+            _product_form(_line_through(lifts[a], lifts[b]),
+                          _line_through(lifts[c], lifts[d]))))
+    return out
+
+
+def pencil_coefficients(q, basis):
+    """Write q = sum c_i d_i in the natural basis of a pencil.
+
+    The kernel of the 6x4 system [d1 d2 d3 | -q] holds (c, 1) up to scale.
+    Raises ValueError if q is not in the span of the basis.
+    """
+    from flatconic.linalg import nullspace
+    cols = [d.coeffs() for d in basis.forms] + [[-v for v in q.coeffs()]]
+    ker = nullspace([[col[i] for col in cols] for i in range(6)], 4)
+    if not ker:
+        raise ValueError("form is not in the pencil of the triple")
+    if len(ker) > 1 or ker[0][3] == 0:
+        raise ValueError("pencil basis is degenerate")
+    *c, t = ker[0]
+    return tuple(x / t for x in c)
+
+
+def is_nowhere_negative(q) -> bool:
+    """True iff q >= 0 on all of 3-space, i.e. U_q is certainly empty."""
+    from flatconic.quadform import signature
+    n_pos, n_neg, n_zero = signature(q)
+    return n_neg == 0

@@ -125,6 +125,67 @@ def test_veech_check_non_unimodular(torus_file, capsys):
     assert main(["veech-check", torus_file, "--matrix", "2,0,0,1"]) == 2
 
 
+@pytest.mark.parametrize("radius", ["0", "-1"])
+def test_veech_check_radius_must_be_positive(torus_file, radius, capsys):
+    assert main(["veech-check", torus_file, "--matrix", "1,1,0,1",
+                 "--radius", radius]) == 2
+    assert capsys.readouterr().err == "error: radius must be positive\n"
+
+
+# on the L, S is in the Veech group and T and [[0,-1],[1,1]] are not (the
+# origami truth of oracles.py); the radius must not change a verdict
+L_VERDICTS = {
+    "S-R4": ("0,-1,1,0", "4", "member-in-window (R=4)"),
+    "T-R3": ("1,1,0,1", "3", "rejected (R=3)"),
+    "T-R4": ("1,1,0,1", "4", "rejected (R=4)"),
+    "elliptic-R3": ("0,-1,1,1", "3", "rejected (R=3)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(L_VERDICTS))
+def test_veech_check_on_the_l(case, capsys):
+    matrix, radius, line = L_VERDICTS[case]
+    assert main(["veech-check", str(STOCK / "l_shape.tsurf"), "--matrix",
+                 matrix, "--radius", radius]) == 0
+    assert capsys.readouterr().out == line + "\n"
+
+
+def test_veech_check_rotation_on_the_half_marked_torus(tmp_path, capsys):
+    path = tmp_path / "marked.tsurf"
+    path.write_text(surface_to_json(two_marked_torus(marked=(F(1, 2), F(1, 2)))))
+    assert main(["veech-check", str(path), "--matrix", "0,-1,1,0",
+                 "--radius", "2"]) == 0
+    assert capsys.readouterr().out == "member-in-window (R=2)\n"
+
+
+BAD_BUDGETS = [["complex", "--budget", "0"], ["complex", "--budget", "-3"],
+               ["tessellate", "--budget", "0"],
+               ["rebuild", "--budget", "0"],
+               ["rebuild", "--target-budget", "0"],
+               ["rebuild", "--budget", "-3", "--target-budget", "-3"]]
+
+
+@pytest.mark.parametrize("argv", BAD_BUDGETS, ids=" ".join)
+def test_budgets_below_one_are_input_errors(torus_file, argv, capsys):
+    surfaces = [torus_file] * (2 if argv[0] == "rebuild" else 1)
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], *surfaces, "--radius", "2", *argv[1:]])
+    assert exc.value.code == 2
+    assert "error: argument --" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("horizon", ["nan", "inf", "1e308", "-1", "0"])
+def test_tessellate_horizon_must_be_finite_and_positive(torus_file, tmp_path,
+                                                        horizon, capsys):
+    svg = tmp_path / "tess.svg"
+    with pytest.raises(SystemExit) as exc:
+        main(["tessellate", torus_file, "--budget", "2", "--svg", str(svg),
+              f"--horizon={horizon}"])
+    assert exc.value.code == 2
+    assert "error: argument --horizon" in capsys.readouterr().err
+    assert not svg.exists()
+
+
 def test_rebuild_prints_the_discovered_matrix(torus_file, tmp_path, capsys):
     sheared = tmp_path / "sheared.tsurf"
     sheared.write_text(surface_to_json(square_torus().mapped(((1, 1), (0, 1)))))

@@ -16,7 +16,7 @@ import pytest
 import flatconic
 
 EXACT = ("linalg", "quadform", "subconic", "geom", "surface", "cellcomplex",
-         "veech", "cli")
+         "delaunay", "veech", "cli")
 
 
 def _top_level_imports(name: str) -> set:

@@ -7,17 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import degenerate_members, pencil_coefficients
 from flatconic.quadform import (
     CollinearTripleError,
     QForm3,
     canonical_scale,
     combine,
-    degenerate_members,
     forms_vanishing_on,
     from_poly,
     lift,
     natural_basis,
-    pencil_coefficients,
     radical,
     signature,
     signature_restriction,

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import is_nowhere_negative
 from flatconic.quadform import QForm3, canonical_scale, from_poly, lift
 from flatconic.subconic import (
     DegenerateConfiguration,
@@ -14,7 +15,6 @@ from flatconic.subconic import (
     classify,
     conic_through_five,
     contains,
-    is_nowhere_negative,
     strip_direction,
     subconic,
 )

@@ -1,6 +1,7 @@
-"""Affine recovery, windowed Veech membership, and tessellation output."""
+"""Affine recovery, exact Veech membership, and tessellation output."""
 
 import functools
+import itertools
 import math
 import sys
 from collections import Counter
@@ -20,7 +21,7 @@ from flatconic.geom import INFINITY, class_key, h_point, mobius
 from flatconic.models import l_shape, square_torus, two_marked_torus
 from flatconic.quadform import QForm3, canonical_scale, transform_by_affine
 from flatconic.subconic import SubconicKind
-from flatconic.surface import develop, dist2, parse_surface
+from flatconic.surface import develop, parse_surface
 from flatconic.veech import (
     discover_affine,
     psi_of_quadruple,
@@ -82,11 +83,6 @@ def torus_chart():
 
 
 @pytest.fixture(scope="module")
-def torus_conics(torus_chart):
-    return rigid_conics(torus_chart)
-
-
-@pytest.fixture(scope="module")
 def window_a(torus_chart):
     return build_complex(torus_chart, SEED, budget=12)
 
@@ -145,21 +141,21 @@ def test_discover_affine_meets_candidates_in_sorted_order(monkeypatch):
     assert set(pairs.values()) == {4}
 
 
-def test_shear_is_a_member_in_window(torus_chart, torus_conics):
-    v = veech_check(square_torus(), T, chart=torus_chart, conics=torus_conics)
+def test_shear_is_a_member_in_window():
+    v = veech_check(square_torus(), T)
     assert v.is_member
     assert str(v) == "member-in-window (R=6)"
     assert v.translation is not None
 
 
-def test_rotation_is_a_member_in_window(torus_chart, torus_conics):
-    v = veech_check(square_torus(), S, chart=torus_chart, conics=torus_conics)
+def test_rotation_is_a_member_in_window():
+    v = veech_check(square_torus(), S)
     assert v.is_member
 
 
-def test_half_shear_is_rejected(torus_chart, torus_conics):
+def test_half_shear_is_rejected():
     half = ((1, F(1, 2)), (0, 1))
-    v = veech_check(square_torus(), half, chart=torus_chart, conics=torus_conics)
+    v = veech_check(square_torus(), half)
     assert v.verdict == "rejected"
     assert not v.is_member
 
@@ -210,46 +206,67 @@ def test_tessellation_edges_use_face_corners(window_a):
 
 
 # ---------------------------------------------------------------------------
-# the hoisted conic-class test against the reference check in oracles.py
+# membership against the ground truth of oracles.py (lattice, marked points,
+# origami), on the whole surface: no radius changes a verdict
 
-VERDICT_STRATA = {
-    "torus-R3": (square_torus(), 3),
-    "marked-third-R2": (two_marked_torus(marked=(F(1, 3), F(1, 3))), 2),
-    "L-R3": (l_shape(), 3),
-    "L-R4": (l_shape(), 4),
+TRUTH_SURFACES = {
+    ("torus",): square_torus(),
+    ("sheared",): square_torus().mapped(T),
+    ("L",): l_shape(),
+    **{("tm", m): two_marked_torus(marked=m)
+       for m in ((F(1, 2), F(1, 2)), (F(1, 3), F(1, 3)), (F(1, 2), F(1, 4)),
+                 (F(1, 3), F(1, 5)), (F(2, 5), F(1, 5)))},
 }
-VERDICT_MATRICES = (T, S, ((1, 2), (0, 1)), ((2, 1), (1, 1)),
-                    ((1, F(1, 2)), (0, 1)), ((2, 0), (0, F(1, 2))))
+# every word of length <= 4 in T, T^-1 and S, and two non-integral matrices
+TRUTH_MATRICES = [oracles.word_matrix("".join(w)) for n in range(5)
+                  for w in itertools.product("TtS", repeat=n)]
+TRUTH_MATRICES += [((1, F(1, 2)), (0, 1)), ((2, 0), (0, F(1, 2)))]
 
 
-@pytest.mark.parametrize("stratum", sorted(VERDICT_STRATA))
-def test_veech_verdicts_match_the_reference(stratum):
-    surface, radius = VERDICT_STRATA[stratum]
-    chart = develop(surface, None, radius)
-    conics = rigid_conics(chart)
-    details = []
-    for g in VERDICT_MATRICES:
-        got = veech_check(surface, g, radius, chart=chart, conics=conics)
-        ref = oracles.reference_veech_check(surface, g, radius, chart=chart,
-                                            conics=conics)
-        assert got == ref
-        details.append(got.detail)
-    if stratum == "L-R4":
-        # S passes the cone-point test and fails the class test
-        assert "maps to an unseen homothety class" in details[1]
+@pytest.mark.parametrize("spec", sorted(TRUTH_SURFACES, key=str),
+                         ids=lambda spec: "-".join(map(str, [spec[0], *(
+                             spec[1] if len(spec) > 1 else ())])))
+def test_veech_verdicts_match_the_ground_truth(spec):
+    surface = TRUTH_SURFACES[spec]
+    members = 0
+    for g in TRUTH_MATRICES:
+        v = veech_check(surface, g, 2)
+        assert v.is_member == oracles.member(spec, g), (g, v.detail)
+        assert v.verdict in ("member-in-window", "rejected")
+        assert (v.translation is None) == (v.sides is None) == \
+            (not v.is_member)
+        members += v.is_member
+    assert 0 < members < len(TRUTH_MATRICES)
 
 
-@pytest.mark.parametrize("g, norm2, radius",
-                         [(S, 1, F(3, 2)), (((2, 0), (0, F(1, 2))), 4, 3)])
-def test_the_safe_sub_window_is_closed(g, norm2, radius):
-    # ||g||^2 is rational for both maps; from the base (1/2, 0) the cone
-    # point (2, 0) lies exactly on the safe circle of radius R/||g|| = 3/2
-    chart = develop(square_torus(), ("p0", (F(1, 2), 0)), radius)
-    d2 = [dist2(p.position, chart.base) * norm2 for p in chart.window_points]
-    assert radius ** 2 in d2
-    verdict = veech_check(square_torus(), g, radius, chart=chart,
-                          conics=rigid_conics(chart))
-    assert verdict.checked_points == sum(d <= radius ** 2 for d in d2)
+def test_the_stretched_l_has_only_the_tenth_power_of_t():
+    # cylinders of modulus 5/2 (bottom) and 2 (top): T^k fixes both only
+    # for k in 10 Z
+    surface = oracles.stretched_l()
+    got = [k for k in range(1, 13)
+           if veech_check(surface, ((1, k), (0, 1)), 3).is_member]
+    assert got == [10]
+
+
+def test_a_member_verdict_certifies_a_side_bijection():
+    from flatconic.delaunay import delaunay
+    g = S
+    v = veech_check(l_shape(), g, 4)
+    assert v.is_member and sorted(v.sides) == list(range(len(v.sides)))
+    a, b = delaunay(l_shape().mapped(g)), delaunay(l_shape())
+    assert [b.vectors[j] for j in v.sides] == list(a.vectors)
+    assert all(v.sides[a.nxt[i]] == b.nxt[v.sides[i]] and
+               v.sides[a.glued[i]] == b.glued[v.sides[i]]
+               for i in range(len(v.sides)))
+
+
+def test_a_rejection_names_the_first_mismatch():
+    v = veech_check(l_shape(), T, 3)
+    assert v.verdict == "rejected" and v.translation is None
+    assert v.detail == (
+        "the Delaunay decompositions of g S (first) and S (second) differ: "
+        "with side 0 (1, 0) sent onto side 1, the next side of side 4 "
+        "(0, -1) does not match")
 
 
 @functools.cache
