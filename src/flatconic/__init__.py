@@ -16,14 +16,10 @@ imported from `flatconic.lemma`.
 """
 
 from .quadform import (
-    CollinearTripleError,
     QForm3,
     canonical_scale,
-    combine,
     forms_vanishing_on,
-    from_poly,
     lift,
-    natural_basis,
     radical,
     signature,
     signature_restriction,
@@ -65,8 +61,6 @@ from .cellcomplex import (
     frontier_bijection,
     link,
     matching_from_affine,
-    realizable_quadruple,
-    realizable_triple,
     rigid_conics,
     two_cell,
 )

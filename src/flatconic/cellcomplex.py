@@ -12,6 +12,17 @@ from the barycentric coordinates of z on it, a positive multiple of each,
 and the clipped polygon keeps its vertices as homogeneous int triples until
 it is returned.
 
+The pencil members a 2-cell classifies (its interior sample, side midpoints
+and vertices) are lattice forms: int forms Q in the lattice coordinates
+(X, Y, 1), built from the int basis D_i = -2 Lambda_{i+1} Lambda_{i+2} of
+the triple's int barycentric coordinates (`_lattice_basis`). Up to the
+congruence diag(scale, scale, 1), Q is a positive multiple of the Fraction
+pencil member, so it has the same class, zeros and signs. The window scans
+`_window_zeros`, `_strip_rigid` and `_ellipse_rigid` take lattice forms
+only (`rigid_conics` converts its five-point form once, `_on_lattice`), and
+only `_ellipse_rigid` maps a form back to positions (`_on_positions`), for
+its centre, its window certificate and the stored conic.
+
 The chord graph of `rigid_conics` keys each pair by the signed primitive int
 ray from one point to the other, so a chord is an edge iff its far end is
 the nearest window point on that ray. A 5-clique of the chord graph is
@@ -41,13 +52,10 @@ from .geom import h_point
 from .linalg import (Scalar, clear_denominators, common_denominator,
                      convex_hull_ccw, cross, dot2, fraction_str, primitive,
                      scaled_int, sign_of)
-from .quadform import (CollinearTripleError, NaturalBasis, QForm3,
-                       canonical_scale, combine, congruent, ellipse_center,
-                       natural_basis)
+from .quadform import QForm3, canonical_scale, congruent, ellipse_center
 from .subconic import (Subconic, SubconicKind, classify, conic_through_five,
                        strip_direction, subconic)
-from .surface import (Chart, Fit, SurfaceError, _int_form, dist2, rebase,
-                      subconic_fits)
+from .surface import Chart, Fit, SurfaceError, dist2, rebase, subconic_fits
 
 Position = tuple[Scalar, Scalar]
 
@@ -112,14 +120,12 @@ class RigidConic:
 
 
 def _window_zeros(chart: Chart, q: QForm3) -> Optional[list[int]]:
-    """The indices into `chart.window_points` where q vanishes, or None if q
-    is negative at a window point, occluded ones included. q is evaluated on
-    the lattice: at (X, Y, L) for the point (X, Y)/L, L = `surface.scale`."""
-    L = chart.surface.scale
-    qi = _int_form(q, (0, 0))
+    """The indices into `chart.window_points` where the lattice form q
+    vanishes, or None if q is negative at a window point, occluded ones
+    included. q is evaluated at (X, Y, 1) for each `Chart.lattice` point."""
     zeros = []
     for k, (X, Y) in enumerate(chart.lattice):
-        s = qi((X, Y, L))
+        s = q((X, Y, 1))
         if s < 0:
             return None
         if s == 0:
@@ -127,17 +133,34 @@ def _window_zeros(chart: Chart, q: QForm3) -> Optional[list[int]]:
     return zeros
 
 
+def _on_lattice(q: QForm3, scale: int) -> QForm3:
+    """The lattice form of a position form: an int form Q with
+    Q(X, Y, 1) = k q(X / scale, Y / scale, 1) for some k > 0."""
+    return QForm3(*clear_denominators(
+        congruent(q.coeffs(), ((1, 0), (0, 1)), (0, 0), scale)))
+
+
+def _on_positions(q: QForm3, scale: int) -> QForm3:
+    """The position form of a lattice form: x -> q(scale x, scale y, 1),
+    the congruence by diag(scale, scale, 1)."""
+    return QForm3(*congruent(q.coeffs(), ((scale, 0), (0, scale)), (0, 0), 1))
+
+
 def _ellipse_rigid(chart: Chart, q: QForm3) -> Optional[RigidConic]:
-    """Extend an ellipse form to its full windowed rigid conic, or reject.
+    """Extend an ellipse's lattice form to its full windowed rigid conic, or
+    reject.
 
     Checks >= 5 boundary cone points, empty interior, and the immersion
     certificate from a chart re-based at the ellipse center. Boundary and
     interior tests run over every developed point of the window (occluded
-    ones included), so the result does not depend on the chart's base.
+    ones included), so the result does not depend on the chart's base. Only
+    a form that passes the scan goes back to positions, for its centre, the
+    certificate and the stored conic.
     """
     zeros = _window_zeros(chart, q)
     if zeros is None or len(zeros) < 5:
         return None
+    q = _on_positions(q, chart.surface.scale)
     fit = subconic_fits(rebase(chart, ellipse_center(q)), q)
     if fit is Fit.NO:
         return None
@@ -150,9 +173,10 @@ def _ellipse_rigid(chart: Chart, q: QForm3) -> Optional[RigidConic]:
 
 
 def _strip_rigid(chart: Chart, q: QForm3) -> Optional[RigidConic]:
-    """Windowed maximal strip through the zero set of a strip form q, or None
-    unless q >= 0 on the window and vanishes on exactly two lattice levels
-    with >= 2 points each (then q is a positive multiple of `_strip`'s)."""
+    """Windowed maximal strip through the zero set of a strip's lattice form
+    q, or None unless q >= 0 on the window and vanishes on exactly two
+    lattice levels with >= 2 points each (then q is a positive multiple of
+    `_strip`'s on the lattice)."""
     d = strip_direction(q)
     zeros = _window_zeros(chart, q)
     if zeros is None:
@@ -213,10 +237,11 @@ def rigid_conics(chart: Chart) -> list[RigidConic]:
     normal, and each pair of consecutive levels holding >= 2 points each is
     a maximal strip. No point lies strictly between consecutive levels and
     the zero set is exactly the two buckets, so `_strip` builds it from them
-    directly. Only forms and boundaries are converted back to Fractions.
+    directly. Only forms and boundaries are converted back to Fractions, and
+    each five-point form goes to the lattice once (`_on_lattice`).
     """
     window = [p.position for p in chart.window_points]
-    ints = chart.lattice
+    ints, L = chart.lattice, chart.surface.scale
     n = len(chart.points)        # the visible points lead window_points
     found: dict[tuple, RigidConic] = {}
 
@@ -247,7 +272,7 @@ def rigid_conics(chart: Chart) -> list[RigidConic]:
                 return
             if cand.kind is not SubconicKind.ELLIPSE_INTERIOR:
                 return
-            rigid = _ellipse_rigid(chart, cand.form)
+            rigid = _ellipse_rigid(chart, _on_lattice(cand.form, L))
             if rigid is not None:
                 found.setdefault(rigid.key(), rigid)
             return
@@ -341,10 +366,23 @@ def _clip(poly: list, a: int, b: int, c: int) -> list:
 class FeasibleRegion:
     polygon: list                 # (t1, t2) vertices, CCW from lex-min
     vertices: list                # the same vertices as int (X, Y, W), W > 0
-    basis: NaturalBasis
     chart: Chart                  # rebased at the triple's centroid
     constraints: list             # (a, b, c, source position), a, b, c ints
     triple: tuple                 # positions, counterclockwise
+
+
+def _barycentric(triple, scale: int) -> list:
+    """The int lines Lambda_k = (u, v, c) of a counterclockwise triple on
+    the lattice: Lambda_k(X, Y) = uX + vY + c = cross(P_{k+1}, P_{k+2},
+    (X, Y)), P_i the triple's points times `scale`. Each is the barycentric
+    coordinate lambda_k times the same positive int, twice the lattice area
+    of the triangle."""
+    P = [(scaled_int(x, scale), scaled_int(y, scale)) for x, y in triple]
+    sides = []
+    for k in range(3):
+        (x1, y1), (x2, y2) = P[(k + 1) % 3], P[(k + 2) % 3]
+        sides.append((y1 - y2, x2 - x1, x1 * y2 - x2 * y1))
+    return sides
 
 
 def feasible_region(chart: Chart, Z,
@@ -356,22 +394,22 @@ def feasible_region(chart: Chart, Z,
     the region is further cut to the line q_t(equality) = 0.
 
     Runs on ints. The basis form d_i is -lambda_j lambda_k, lambda being the
-    barycentric coordinates of the counterclockwise triple P (j, k the two
+    barycentric coordinates of the counterclockwise triple (j, k the two
     indices after i). On the lattice of the re-based chart (positions times
-    L, the surface's scale), Lambda_k(w) = cross(P_i, P_j, w) for the cyclic
-    order (i, j, k) is an int and a positive multiple of lambda_k(w), the
-    same multiple for every w. So each constraint (a, b, c) =
-    (d1 - d3, d2 - d3, d3)(w) is an int multiple of the rational one by a
-    positive factor, and the clipped polygon and its T-plane coordinates do
-    not change. A cone point is strictly inside the triangle iff its three
-    Lambdas are positive.
+    L, the surface's scale), `_barycentric`'s Lambda_k(w) is an int and a
+    positive multiple of lambda_k(w), the same multiple for every w. So each
+    constraint (a, b, c) = (d1 - d3, d2 - d3, d3)(w) is an int multiple of
+    the rational one by a positive factor, and the clipped polygon and its
+    T-plane coordinates do not change. A cone point is strictly inside the
+    triangle iff its three Lambdas are positive.
     """
     Z = [tuple(p) for p in Z]
     if len(Z) != 3 or len(set(Z)) != 3:
         raise ValueError("need 3 distinct points")
     centroid = (sum(Fraction(p[0]) for p in Z) / 3,
                 sum(Fraction(p[1]) for p in Z) / 3)
-    if sign_of(cross(Z[0], Z[1], Z[2])) == 0:
+    orient = sign_of(cross(Z[0], Z[1], Z[2]))
+    if orient == 0:
         raise NotRealizable(f"collinear triple {Z}")
     try:
         ch = rebase(chart, centroid)
@@ -388,15 +426,9 @@ def feasible_region(chart: Chart, Z,
         if z not in vis_set:
             raise NotRealizable(
                 f"{z} is not a visible cone point of the re-based chart")
-    basis = natural_basis(Z)
-    ccw = basis.ordering
-    L = ch.surface.scale
-    P = [(scaled_int(x, L), scaled_int(y, L)) for x, y in ccw]
-    # Lambda_k(X, Y) = u X + v Y + c = cross(P_{k+1}, P_{k+2}, (X, Y))
-    sides = []
-    for k in range(3):
-        (x1, y1), (x2, y2) = P[(k + 1) % 3], P[(k + 2) % 3]
-        sides.append((y1 - y2, x2 - x1, x1 * y2 - x2 * y1))
+    ccw = tuple((Fraction(x), Fraction(y))
+                for x, y in (Z if orient > 0 else (Z[0], Z[2], Z[1])))
+    sides = _barycentric(ccw, ch.surface.scale)
     zset = set(Z)
     eq = tuple(equality) if equality is not None else None
     rows = []
@@ -426,7 +458,7 @@ def feasible_region(chart: Chart, Z,
     polygon = list(points)
     if len(polygon) >= 3:
         polygon = convex_hull_ccw(polygon)
-    return FeasibleRegion(polygon, [points[p] for p in polygon], basis, ch,
+    return FeasibleRegion(polygon, [points[p] for p in polygon], ch,
                           constraints, ccw)
 
 
@@ -436,8 +468,27 @@ def _area2(poly) -> Scalar:
                for i in range(len(poly)))
 
 
-def _form_at(basis: NaturalBasis, t1: Scalar, t2: Scalar) -> QForm3:
-    return combine([(t1, basis.d1), (t2, basis.d2), (1 - t1 - t2, basis.d3)])
+def _lattice_basis(triple, scale: int) -> list:
+    """The basis forms D_i = -2 Lambda_{i+1} Lambda_{i+2} of the pencil
+    through a counterclockwise triple, as int coefficients on the lattice
+    (`_barycentric`). D_i is the natural basis form d_i = -lambda_{i+1}
+    lambda_{i+2} on the lattice times one positive int, the same for every
+    i; the 2 clears the halves of the off-diagonal Gram entries."""
+    forms = []
+    sides = _barycentric(triple, scale)
+    for i in range(3):
+        (u1, v1, c1), (u2, v2, c2) = sides[(i + 1) % 3], sides[(i + 2) % 3]
+        forms.append((-2 * u1 * u2, -2 * v1 * v2, -2 * c1 * c2,
+                      -(u1 * v2 + v1 * u2), -(u1 * c2 + c1 * u2),
+                      -(v1 * c2 + c1 * v2)))
+    return forms
+
+
+def _vertex_form(basis: list, X, Y, W) -> QForm3:
+    """The lattice form X D_0 + Y D_1 + (W - X - Y) D_2 at the T-plane point
+    (X, Y) / W, W > 0: a positive multiple of the pencil member there."""
+    Z = W - X - Y
+    return QForm3(*(X * a + Y * b + Z * c for a, b, c in zip(*basis)))
 
 
 @dataclass
@@ -446,7 +497,6 @@ class TwoCell:
     polygon: tuple                   # T-plane vertices (t1, t2, t3), CCW
     vertex_conics: tuple             # RigidConic or None per polygon vertex
     edge_quadruples: tuple           # sorted 4-position keys per polygon side
-    basis: NaturalBasis
     complete: bool
     flags: tuple                     # human-readable truncation notes
 
@@ -461,6 +511,11 @@ def two_cell(chart: Chart, Z) -> TwoCell:
     the side's 1-cell); every polygon vertex is classified as a rigid conic.
     Raises NotRealizable when the feasible set has no interior; incomplete
     certificates (window effects) are reported through flags, not errors.
+
+    The sample, side-midpoint and vertex forms are lattice forms
+    (`_vertex_form` on `_lattice_basis`) at homogeneous T-plane points, so
+    they are ints; classifying one needs no positions, and only an ellipse
+    vertex goes back to positions (`_ellipse_rigid`).
     """
     region = feasible_region(chart, Z)
     poly = region.polygon
@@ -468,22 +523,24 @@ def two_cell(chart: Chart, Z) -> TwoCell:
         raise NotRealizable(
             f"triple {tuple(Z)} has no 2-dimensional family of subconics "
             "(feasible region has empty interior)")
+    basis = _lattice_basis(region.triple, chart.surface.scale)
+    hverts = region.vertices
     flags = []
-    # sample the interior: must be an honest ellipse, otherwise the window
-    # constraints were too sparse to pin the elliptic region
-    cx = sum(p[0] for p in poly) / len(poly)
-    cy = sum(p[1] for p in poly) / len(poly)
-    sample = classify(_form_at(region.basis, cx, cy))
+    # sample the interior, at the mean of the vertices: must be an honest
+    # ellipse, otherwise the window constraints were too sparse to pin the
+    # elliptic region
+    M = math.lcm(*(W for _, _, W in hverts))
+    sample = classify(_vertex_form(
+        basis, sum(X * (M // W) for X, _, W in hverts),
+        sum(Y * (M // W) for _, Y, W in hverts), len(hverts) * M))
     if sample.kind is not SubconicKind.ELLIPSE_INTERIOR:
         raise WindowTooSmall(
             f"interior sample of the feasible polygon for {tuple(Z)} is "
             f"{sample.kind.value}; enlarge the window")
 
     n = len(poly)
-    hverts = region.vertices
     edge_quads = []
     for i in range(n):
-        p, q = poly[i], poly[(i + 1) % n]
         (pX, pY, pW), (qX, qY, qW) = hverts[i], hverts[(i + 1) % n]
 
         def on_side(a, b, c):
@@ -502,15 +559,15 @@ def two_cell(chart: Chart, Z) -> TwoCell:
                 f"side {i} of the cell of {tuple(Z)} is unsupported")
         if len(supporters) > 1:
             flags.append(f"side {i} supported by {len(supporters)} cone points")
-        mid = classify(_form_at(region.basis, (p[0] + q[0]) / 2,
-                                (p[1] + q[1]) / 2))
+        mid = classify(_vertex_form(basis, pX * qW + qX * pW,
+                                    pY * qW + qY * pW, 2 * pW * qW))
         if mid.kind is not SubconicKind.ELLIPSE_INTERIOR:
             flags.append(f"side {i} midpoint is {mid.kind.value}")
         edge_quads.append(_pos_key(list(region.triple) + [supporters[0]]))
 
     vertex_conics = []
-    for i, (t1, t2) in enumerate(poly):
-        form = _form_at(region.basis, t1, t2)
+    for i, (X, Y, W) in enumerate(hverts):
+        form = _vertex_form(basis, X, Y, W)
         kind = classify(form).kind
         rigid = None
         # vertex data is computed against the chart as given (not the
@@ -533,45 +590,7 @@ def two_cell(chart: Chart, Z) -> TwoCell:
     complete = not flags or all("supported by" in f for f in flags)
     polygon3 = tuple((t1, t2, 1 - t1 - t2) for (t1, t2) in poly)
     return TwoCell(region.triple, polygon3, tuple(vertex_conics),
-                   tuple(edge_quads), region.basis, complete, tuple(flags))
-
-
-def realizable_triple(chart: Chart, Z) -> bool:
-    """Feasibility route: is Z exactly the cone-point set of some subconic
-    with a 2-dimensional family certifying the 2-cell?"""
-    try:
-        two_cell(chart, Z)
-        return True
-    except NotRealizable:
-        return False
-
-
-def realizable_quadruple(chart: Chart, Z4) -> bool:
-    """Feasibility route: the pencil through the 4 points cuts the feasible
-    region in a nondegenerate segment with an ellipse interior sample."""
-    Z4 = [tuple(p) for p in Z4]
-    if len(set(Z4)) != 4:
-        return False
-    for triple in combinations(Z4, 3):
-        rest = next(p for p in Z4 if p not in triple)
-        if sign_of(cross(*triple)) == 0:
-            continue
-        try:
-            region = feasible_region(chart, list(triple), equality=rest)
-        except NotRealizable:
-            return False
-        pts = region.polygon
-        if len(pts) < 2:
-            return False
-        ends = max(((dist2(a, b), (a, b)) for a, b in combinations(pts, 2)),
-                   default=(0, None))
-        if ends[1] is None or ends[0] == 0:
-            return False
-        (a, b) = ends[1]
-        mid = ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
-        kind = classify(_form_at(region.basis, mid[0], mid[1])).kind
-        return kind is SubconicKind.ELLIPSE_INTERIOR
-    return False
+                   tuple(edge_quads), complete, tuple(flags))
 
 
 def _anchor_reps(succ: dict, quad: set) -> list:
@@ -773,7 +792,7 @@ def _default_seed_cell(chart: Chart) -> tuple:
     for triple in combinations(pts[:8], 3):
         try:
             return triple, two_cell(chart, triple)
-        except (NotRealizable, WindowTooSmall, CollinearTripleError):
+        except (NotRealizable, WindowTooSmall):
             continue
     raise NotRealizable("no realizable triple among the points nearest "
                         "the base")

@@ -57,6 +57,9 @@ def _parse_seed(text: str):
         points.append((_frac(parts[0]), _frac(parts[1])))
     if len(points) != 3:
         raise argparse.ArgumentTypeError("seed needs exactly three points")
+    if len(set(points)) != 3:
+        raise argparse.ArgumentTypeError(
+            f"seed points must be distinct, got {text!r}")
     return tuple(points)
 
 
@@ -143,6 +146,12 @@ def cmd_veech(args) -> int:
 def cmd_rebuild(args) -> int:
     source = _load_surface(args.source)
     target = _load_surface(args.target)
+    # an affine map carries each cone point to one of the same angle
+    angles = [sorted(s.cone_angles.values()) for s in (source, target)]
+    if angles[0] != angles[1]:
+        raise ValueError("no affine map relates the surfaces: their cone "
+                         "angles differ (in multiples of 2pi: "
+                         f"{angles[0]} and {angles[1]})")
     chart_a = develop(source, radius=args.radius)
     chart_b = develop(target, radius=args.radius)
     A = build_complex(chart_a, budget=args.budget)

@@ -1,4 +1,4 @@
-"""Quadratic forms on 3-space: signatures, constraint nullspaces, natural bases.
+"""Quadratic forms on 3-space: signatures, constraint nullspaces, congruences.
 
 A form is stored by the six entries of its symmetric Gram matrix
 
@@ -7,9 +7,10 @@ A form is stored by the six entries of its symmetric Gram matrix
          [a13, a23, a33]],        q(v) = v A v^T,
 
 so the xy / xz / yz *polynomial* coefficients are twice the stored entries.
-Every operation is exact over the rationals: signatures, radicals, pencils,
+Every operation is exact over the rationals: signatures, radicals,
 scalings and affine images are computed on ints and Fractions, and a float
-input is taken at its exact binary value.
+input is taken at its exact binary value. The natural basis of a pencil
+through a triple lives on the lattice, in `cellcomplex._lattice_basis`.
 
 `congruent` is the one form congruence: K^T A K for an affine K = (M, s;
 0, w), on ints or Fractions. Affine images (`transform_by_affine`), forms
@@ -21,9 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .linalg import Scalar, cross, nullspace, sign_of, symmetric_signature
+from .linalg import Scalar, nullspace, symmetric_signature
 
 Vec3 = tuple[Scalar, Scalar, Scalar]
 
@@ -73,19 +74,6 @@ class QForm3:
         return not any(self.coeffs())
 
 
-def from_poly(A: Scalar, B: Scalar, C: Scalar, D: Scalar, E: Scalar, F: Scalar) -> QForm3:
-    """Form of the polynomial A x² + B xy + C y² + D x + E y + F."""
-    return QForm3(A, C, F, Fraction(B) / 2, Fraction(D) / 2, Fraction(E) / 2)
-
-
-def combine(pairs: Iterable[tuple[Scalar, QForm3]]) -> QForm3:
-    acc = [0, 0, 0, 0, 0, 0]
-    for c, q in pairs:
-        for i, v in enumerate(q.coeffs()):
-            acc[i] = acc[i] + c * v
-    return QForm3(*acc)
-
-
 def signature(q: QForm3) -> tuple[int, int, int]:
     """(n+, n-, n0) of q on 3-space."""
     return symmetric_signature(q.gram())
@@ -119,75 +107,6 @@ def forms_vanishing_on(points: Sequence[Vec3]) -> list[QForm3]:
         raise ValueError("at most 5 point constraints are supported")
     rows = [_evaluation_row(v) for v in points]
     return [QForm3(*v) for v in nullspace(rows, 6)]
-
-
-def _line_through(u: Vec3, v: Vec3) -> Vec3:
-    """Coefficient vector of the linear form vanishing on span(u, v)."""
-    return (u[1] * v[2] - u[2] * v[1],
-            u[2] * v[0] - u[0] * v[2],
-            u[0] * v[1] - u[1] * v[0])
-
-
-def _product_form(n: Vec3, m: Vec3) -> QForm3:
-    """The quadratic form (n·x)(m·x)."""
-    half = Fraction(1, 2)
-    return QForm3(n[0] * m[0], n[1] * m[1], n[2] * m[2],
-                  half * (n[0] * m[1] + n[1] * m[0]),
-                  half * (n[0] * m[2] + n[2] * m[0]),
-                  half * (n[1] * m[2] + n[2] * m[1]))
-
-
-class CollinearTripleError(ValueError):
-    pass
-
-
-@dataclass(frozen=True)
-class NaturalBasis:
-    """The three line-pair forms d_i spanning the pencil through a triple.
-
-    `ordering` is the positively oriented cyclic order of the source points;
-    d_i is degenerate with ordering[i]'s lift in its radical and is negative
-    on the open triangle.
-    """
-    d1: QForm3
-    d2: QForm3
-    d3: QForm3
-    ordering: tuple[tuple[Scalar, Scalar], ...]
-
-    @property
-    def forms(self) -> tuple[QForm3, QForm3, QForm3]:
-        return (self.d1, self.d2, self.d3)
-
-
-def natural_basis(Z: Sequence[Sequence[Scalar]]) -> NaturalBasis:
-    """Natural basis of the pencil of conics through a noncollinear triple.
-
-    d_i = -eta_ij * eta_ik where eta_ij is the linear form vanishing on the
-    line through points i and j, normalized to 1 at the third point. That
-    normalization makes each d_i negative on the open triangle, and the
-    (counterclockwise) input order of the points fixes the basis order.
-    """
-    if len(Z) != 3:
-        raise ValueError("natural_basis expects exactly 3 points")
-    pts = [(Fraction(x), Fraction(y)) for x, y in Z]
-    orient = sign_of(cross(pts[0], pts[1], pts[2]))
-    if orient == 0:
-        raise CollinearTripleError(f"collinear triple {pts}")
-    if orient < 0:
-        pts = [pts[0], pts[2], pts[1]]
-    lifts = [lift(p) for p in pts]
-
-    def eta(i: int, j: int, k: int) -> Vec3:
-        n = _line_through(lifts[i], lifts[j])
-        c = n[0] * lifts[k][0] + n[1] * lifts[k][1] + n[2] * lifts[k][2]
-        # c != 0 because the triple is noncollinear
-        return tuple(v / c for v in n)
-
-    ds = []
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        ds.append(_product_form(eta(i, j, k), eta(i, k, j)).scaled(-1))
-    return NaturalBasis(ds[0], ds[1], ds[2], tuple(pts))
 
 
 def canonical_scale(q: QForm3) -> QForm3:

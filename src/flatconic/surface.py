@@ -7,20 +7,28 @@ down to the star-convex visibility region (a cone point blocks the open ray
 strictly beyond itself).
 
 Everything here is exact. Parsing makes every file number a Fraction, and
-polygons, gluings and the returned charts hold Fractions. Cone angles are
-counted on directions by exact orientation tests, and the immersion
-certificate `subconic_fits` decides its window bound by squaring out the
-square roots and scans the visible points on ints. A cone point or placement
-translation is a vertex plus a sum of edge vectors, so it lies on the
-surface's lattice Z^2 / `SurfaceDesc.scale` (`Chart.lattice`). The unfolding
-(`develop`, `locate`, and so `rebase`) runs on that lattice refined by the
-base point (or the located position) and translated to it: its search,
-window, visibility and point-in-polygon tests are exact int arithmetic, and
-only the chart's positions and translations go back to Fractions.
+polygons and gluings hold Fractions. Cone angles are counted on directions
+by exact orientation tests, and the immersion certificate `subconic_fits`
+decides its window bound by squaring out the square roots and scans the
+visible points on ints. A cone point or placement translation is a vertex
+plus a sum of edge vectors, so it lies on the surface's lattice
+Z^2 / `SurfaceDesc.scale` (`Chart.lattice`). The unfolding (`develop`,
+`locate`, and so `rebase`) runs on that lattice refined by the base point
+(or the located position) and translated to it: its search, window,
+visibility and point-in-polygon tests are exact int arithmetic.
+
+A chart keeps that int frame (`_Frame`: the scale L, the base times L, and
+the int points, occluded points and placements). Its `points`, `occluded`
+and `placements` become Fractions only when first read, with the values,
+order, `==` and `repr` of the Fraction unfolding. `rebase` is `locate` plus
+`develop` at the located point, moved by the int offset (position - local
+point) * L, so no point or placement is rebuilt; `Chart.lattice`, `locate`
+and `subconic_fits` read the int frame.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import json
 import math
@@ -58,10 +66,6 @@ def _to_scalar(value) -> Scalar:
 
 def _sub(a: Point, b: Point) -> Point:
     return (a[0] - b[0], a[1] - b[1])
-
-
-def _add(a: Point, b: Point) -> Point:
-    return (a[0] + b[0], a[1] + b[1])
 
 
 def dist2(a: Point, b: Point) -> Scalar:
@@ -305,10 +309,15 @@ def _comes_within(verts: Sequence[Point], rn: Scalar, rd: Scalar) -> bool:
     return _origin_side(verts) > 0
 
 
+def _frame_scale(surface: SurfaceDesc, origin: Point) -> int:
+    """The least int L clearing `origin` and the surface's lattice."""
+    return math.lcm(surface.scale, *(c.as_integer_ratio()[1] for c in origin))
+
+
 def _frame(surface: SurfaceDesc, origin: Point):
-    """The int frame (L, ints): L the least int clearing `origin` and the
-    lattice, ints each polygon's vertices as int pairs (v - origin) * L."""
-    L = math.lcm(surface.scale, *(c.as_integer_ratio()[1] for c in origin))
+    """The int frame (L, ints): L = `_frame_scale`, ints each polygon's
+    vertices as int pairs (v - origin) * L."""
+    L = _frame_scale(surface, origin)
     ox, oy = (scaled_int(c, L) for c in origin)
     return L, {pid: [(scaled_int(x, L) - ox, scaled_int(y, L) - oy)
                      for x, y in verts]
@@ -333,14 +342,102 @@ class Placement:
 
 
 @dataclass(frozen=True)
+class _Frame:
+    """The int frame a chart was developed in. A visible or occluded entry
+    (x, y, cone_id, path) is at the position (x + ox, y + oy) / L, a placement
+    (poly_id, tx, ty, path) has the translation (tx + sx, ty + sy) / L, and
+    `origin` = (ox, oy), `shift` = (sx, sy). L clears the surface's lattice
+    and the base, and `origin` is the base times L."""
+    L: int
+    origin: tuple
+    shift: tuple
+    points: tuple
+    occluded: tuple
+    placements: tuple
+
+
 class Chart:
-    surface: SurfaceDesc
-    base: Point
-    base_locator: tuple  # (poly_id, local point)
-    radius: Scalar
-    points: tuple[DevPoint, ...]       # visible cone points, sorted by position
-    occluded: tuple[DevPoint, ...]     # in-window points hidden behind others
-    placements: tuple[Placement, ...]
+    """A developed window: the base, its locator (polygon id, local point),
+    the radius, the visible cone points sorted by position, the in-window
+    points hidden behind others, and the placements of the unfolding.
+
+    `develop` and `rebase` keep the chart in the int frame it was developed
+    in (`_Frame`); `points`, `occluded` and `placements` become Fractions on
+    first read. A chart built from those three directly (as the reference
+    unfolding in the tests does) derives its frame from them instead. Either
+    way `==` and `repr` read the Fraction fields.
+    """
+
+    _FIELDS = ("surface", "base", "base_locator", "radius", "points",
+               "occluded", "placements")
+
+    def __init__(self, surface: SurfaceDesc, base: Point, base_locator: tuple,
+                 radius: Scalar, points: tuple, occluded: tuple,
+                 placements: tuple):
+        self.surface, self.base = surface, base
+        self.base_locator, self.radius = base_locator, radius
+        self.__dict__.update(points=points, occluded=occluded,
+                             placements=placements)
+
+    @classmethod
+    def _in_frame(cls, surface: SurfaceDesc, base: Point, base_locator: tuple,
+                  radius: Scalar, frame: _Frame) -> "Chart":
+        chart = cls.__new__(cls)
+        chart.surface, chart.base = surface, base
+        chart.base_locator, chart.radius = base_locator, radius
+        chart.frame = frame
+        return chart
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._FIELDS)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        return "Chart({})".format(", ".join(
+            f"{name}={value!r}" for name, value in zip(self._FIELDS,
+                                                       self._fields())))
+
+    @cached_property
+    def frame(self) -> _Frame:
+        L = _frame_scale(self.surface, self.base)
+        ox, oy = (scaled_int(c, L) for c in self.base)
+
+        def entries(points):
+            return tuple((scaled_int(p.position[0], L) - ox,
+                          scaled_int(p.position[1], L) - oy, p.cone_id, p.path)
+                         for p in points)
+
+        return _Frame(L, (ox, oy), (0, 0), entries(self.points),
+                      entries(self.occluded),
+                      tuple((pl.poly_id, *(scaled_int(c, L)
+                                           for c in pl.translation), pl.path)
+                            for pl in self.placements))
+
+    def _dev_points(self, entries) -> tuple:
+        L, (ox, oy) = self.frame.L, self.frame.origin
+        return tuple(DevPoint((Fraction(x + ox, L), Fraction(y + oy, L)),
+                              cone, path) for x, y, cone, path in entries)
+
+    @cached_property
+    def points(self) -> tuple[DevPoint, ...]:
+        """The visible cone points, sorted by position."""
+        return self._dev_points(self.frame.points)
+
+    @cached_property
+    def occluded(self) -> tuple[DevPoint, ...]:
+        """The in-window points hidden behind others, sorted by position."""
+        return self._dev_points(self.frame.occluded)
+
+    @cached_property
+    def placements(self) -> tuple[Placement, ...]:
+        L, (sx, sy) = self.frame.L, self.frame.shift
+        return tuple(Placement(pid, (Fraction(tx + sx, L), Fraction(ty + sy, L)),
+                               path)
+                     for pid, tx, ty, path in self.frame.placements)
 
     @property
     def window_points(self) -> tuple[DevPoint, ...]:
@@ -350,9 +447,11 @@ class Chart:
     @cached_property
     def lattice(self) -> tuple[tuple[int, int], ...]:
         """Each window point's position times `surface.scale`, as ints."""
-        L = self.surface.scale
-        return tuple((scaled_int(p.position[0], L), scaled_int(p.position[1], L))
-                     for p in self.window_points)
+        frame = self.frame
+        m = frame.L // self.surface.scale
+        ox, oy = frame.origin
+        return tuple(((x + ox) // m, (y + oy) // m)
+                     for x, y, _, _ in frame.points + frame.occluded)
 
 
 def default_base(surface: SurfaceDesc) -> tuple:
@@ -385,14 +484,18 @@ def develop(surface: SurfaceDesc, base=None, radius: Scalar = 6) -> Chart:
     The unfolding runs in the integer frame of the base (`_frame`): placements
     are keyed on integer translations, the window test is exact on ints, and
     a cone point is visible iff it is the nearest on its primitive integer ray
-    from the base.
+    from the base. The chart keeps that frame (`_Frame`).
     """
     if base is None:
         base = default_base(surface)
     pid0, local = base
     local = (Fraction(local[0]), Fraction(local[1]))
     radius = Fraction(radius)
-    verts0 = surface.polygon(pid0)
+    try:
+        verts0 = surface.polygon(pid0)
+    except KeyError:
+        raise SurfaceError(f"base polygon {pid0!r} is not a polygon of the "
+                           "surface") from None
     if local in verts0:
         raise SurfaceError(f"base point {local} is a cone point")
     if point_in_polygon(local, verts0) < 0:
@@ -444,20 +547,13 @@ def develop(surface: SurfaceDesc, base=None, radius: Scalar = 6) -> Chart:
     occluded: list = []
     for x, y in sorted(raw, key=lambda p: (p[0] * p[0] + p[1] * p[1], p)):
         ray = primitive(x, y)
-        (occluded if ray in rays else visible).append((x, y))
+        (occluded if ray in rays else visible).append((x, y, *raw[(x, y)]))
         rays.add(ray)
 
-    bx, by = (scaled_int(c, L) for c in local)
-
-    def dev_points(frame_points):
-        return tuple(DevPoint((Fraction(x + bx, L), Fraction(y + by, L)),
-                              *raw[(x, y)])
-                     for x, y in sorted(frame_points))
-
-    return Chart(surface, local, (pid0, local), radius,
-                 dev_points(visible), dev_points(occluded),
-                 tuple(Placement(pid, (Fraction(tx, L), Fraction(ty, L)), path)
-                       for pid, tx, ty, path in placements))
+    origin = tuple(scaled_int(c, L) for c in local)
+    frame = _Frame(L, origin, (0, 0), tuple(sorted(visible)),
+                   tuple(sorted(occluded)), tuple(placements))
+    return Chart._in_frame(surface, local, (pid0, local), radius, frame)
 
 
 def locate(chart: Chart, position: Point):
@@ -466,17 +562,21 @@ def locate(chart: Chart, position: Point):
     Prefers a placement containing the position strictly; falls back to a
     boundary placement. Raises if the position is outside every placement.
     Runs in the integer frame of the position: the placement translations
-    lie on the lattice, so its L clears them too.
+    lie on the lattice, so its L clears them too, and they are read from the
+    chart's int frame.
     """
     L, ints = _frame(chart.surface, position)
+    frame = chart.frame
+    m, n = frame.L // chart.surface.scale, L // chart.surface.scale
+    (sx, sy), (px, py) = frame.shift, (scaled_int(c, L) for c in position)
     boundary = None
-    for pl in chart.placements:
-        tx, ty = (scaled_int(c, L) for c in pl.translation)
-        side = _origin_side([(x + tx, y + ty) for x, y in ints[pl.poly_id]])
+    for pid, tx, ty, _ in frame.placements:
+        tx, ty = (tx + sx) // m * n, (ty + sy) // m * n
+        side = _origin_side([(x + tx, y + ty) for x, y in ints[pid]])
         if side > 0:
-            return (pl.poly_id, _sub(position, pl.translation))
+            return (pid, (Fraction(px - tx, L), Fraction(py - ty, L)))
         if side == 0 and boundary is None:
-            boundary = (pl.poly_id, _sub(position, pl.translation))
+            boundary = (pid, (Fraction(px - tx, L), Fraction(py - ty, L)))
     if boundary is not None:
         return boundary
     raise SurfaceError(f"position {position} is outside the developed window")
@@ -487,22 +587,20 @@ def rebase(chart: Chart, position: Point, radius: Scalar = None) -> Chart:
 
     The new chart's coordinates are translated so that the given position
     keeps its developed coordinates (placement translations are aligned).
+    The fresh unfolding is kept in its int frame, moved by the int offset
+    (position - local point) * L: no point or placement is rebuilt.
     """
     pid, local = locate(chart, position)
     fresh = develop(chart.surface, (pid, local),
                     chart.radius if radius is None else radius)
     # fresh coordinates place `pid` at translation 0; shift back
-    shift = _sub(position, local)
-    if shift == (0, 0):
-        return fresh
-    pts = tuple(DevPoint(_add(p.position, shift), p.cone_id, p.path)
-                for p in fresh.points)
-    occ = tuple(DevPoint(_add(p.position, shift), p.cone_id, p.path)
-                for p in fresh.occluded)
-    pls = tuple(Placement(p.poly_id, _add(p.translation, shift), p.path)
-                for p in fresh.placements)
-    return Chart(fresh.surface, _add(fresh.base, shift), fresh.base_locator,
-                 fresh.radius, pts, occ, pls)
+    frame = fresh.frame
+    L, (ox, oy) = frame.L, frame.origin
+    px, py = (scaled_int(c, L) for c in position)
+    return Chart._in_frame(
+        fresh.surface, (Fraction(px, L), Fraction(py, L)), fresh.base_locator,
+        fresh.radius, dataclasses.replace(frame, origin=(px, py),
+                                          shift=(px - ox, py - oy)))
 
 
 # ---------------------------------------------------------------------------
@@ -559,9 +657,9 @@ def subconic_fits(chart: Chart, q: QForm3) -> Fit:
     the bound holds iff d < R^2 and R^2 + d - k t > k sqrt(D) + 2 R sqrt(d),
     which squaring twice turns into the rational tests below.
 
-    The point scan runs in the int frame of the base (`_frame`): each
-    visible point is base + (X, Y)/L, its lattice point times L / scale less
-    the base, and q moved to the base (`_int_form`) gives the values alpha,
+    The point scan reads the chart's int frame (`Chart.frame`): each
+    visible point is base + (X, Y)/L for its int entry (X, Y), and q moved
+    to the base (`_int_form`) gives the values alpha,
     beta, gamma of q along the ray base + t (X, Y)/L as ints, all scaled by
     one positive factor. A point fails the certificate
     when q is negative there (g(1) < 0) or when {q <= 0} meets its ray
@@ -578,13 +676,10 @@ def subconic_fits(chart: Chart, q: QForm3) -> Fit:
     y = x * x - k * k * D - 4 * r2 * d
     if not (d < r2 and x > 0 and y > 0 and y * y > 16 * k * k * r2 * D * d):
         return Fit.INCONCLUSIVE
-    L, _ = _frame(chart.surface, chart.base)
-    m = L // chart.surface.scale
-    bx, by = (scaled_int(v, L) for v in chart.base)
+    L = chart.frame.L
     qi = _int_form(q, chart.base)
     gamma = qi.a33 * L * L
-    for X, Y in chart.lattice[:len(chart.points)]:
-        X, Y = X * m - bx, Y * m - by
+    for X, Y, _, _ in chart.frame.points:
         alpha = qi((X, Y, 0))
         beta = 2 * L * (qi.a13 * X + qi.a23 * Y)
         if alpha + beta + gamma < 0 or _meets_beyond(alpha, beta, gamma):

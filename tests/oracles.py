@@ -15,10 +15,13 @@ nullspace), not from the package.
 Veech-group membership has its ground truth at the end, from lattice
 arithmetic and the SL(2,Z) action on origamis, never from flatconic. Pencil
 and signature helpers that no pipeline code needs live here too, with their
-tests.
+tests, and so does the Fraction route to pencil members and realizability
+(`from_poly`, `_form_at`, `realizable_triple`, `realizable_quadruple`) that
+the lattice forms of `two_cell` replaced.
 """
 
 from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -435,7 +438,7 @@ def reference_strip_rigid(chart, q):
 
 
 def reference_rigid_conics(chart):
-    from flatconic.cellcomplex import _ellipse_rigid, _strip_form
+    from flatconic.cellcomplex import _ellipse_rigid, _on_lattice, _strip_form
     from flatconic.linalg import dot2
     from flatconic.subconic import SubconicKind, conic_through_five
     pts = [p.position for p in chart.points]
@@ -459,7 +462,8 @@ def reference_rigid_conics(chart):
                 return
             if cand.kind is not SubconicKind.ELLIPSE_INTERIOR:
                 return
-            rigid = _ellipse_rigid(chart, cand.form)
+            rigid = _ellipse_rigid(chart, _on_lattice(cand.form,
+                                                      chart.surface.scale))
             if rigid is not None:
                 found.setdefault(rigid.key(), rigid)
             return
@@ -535,7 +539,6 @@ def reference_feasible_region(chart, Z, equality=None):
     from flatconic.cellcomplex import (FeasibleRegion, NotRealizable,
                                        WindowTooSmall)
     from flatconic.linalg import convex_hull_ccw, cross, sign_of
-    from flatconic.quadform import natural_basis
     from flatconic.surface import SurfaceError, rebase
     Z = [tuple(p) for p in Z]
     if len(Z) != 3 or len(set(Z)) != 3:
@@ -587,7 +590,7 @@ def reference_feasible_region(chart, Z, equality=None):
         raise NotRealizable(f"{equality} is not a visible cone point")
     if poly:
         poly = convex_hull_ccw(poly) if len(poly) >= 3 else poly
-    return FeasibleRegion(poly, [(t1, t2, 1) for t1, t2 in poly], basis, ch,
+    return FeasibleRegion(poly, [(t1, t2, 1) for t1, t2 in poly], ch,
                           constraints, ccw)
 
 
@@ -1192,8 +1195,7 @@ def degenerate_members(F):
     position (no three collinear).
     """
     from flatconic.linalg import cross, sign_of
-    from flatconic.quadform import (_line_through, _product_form,
-                                    canonical_scale, lift)
+    from flatconic.quadform import canonical_scale, lift
     if len(F) != 4:
         raise ValueError("expected 4 points")
     pts = [(Fraction(x), Fraction(y)) for x, y in F]
@@ -1232,3 +1234,149 @@ def is_nowhere_negative(q) -> bool:
     from flatconic.quadform import signature
     n_pos, n_neg, n_zero = signature(q)
     return n_neg == 0
+
+
+# ---------------------------------------------------------------------------
+# the Fraction route to pencil members and realizability, which the lattice
+# forms of `cellcomplex.two_cell` replaced: the natural basis, combinations
+# and `_form_at`, and the realizability tests; moved here from `quadform` and
+# `cellcomplex` with their tests
+
+def combine(pairs):
+    """The combination sum c q of (c, q) pairs, coefficient by coefficient."""
+    from flatconic.quadform import QForm3
+    acc = [0, 0, 0, 0, 0, 0]
+    for c, q in pairs:
+        for i, v in enumerate(q.coeffs()):
+            acc[i] = acc[i] + c * v
+    return QForm3(*acc)
+
+
+def _line_through(u, v):
+    """Coefficient vector of the linear form vanishing on span(u, v)."""
+    return (u[1] * v[2] - u[2] * v[1],
+            u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0])
+
+
+def _product_form(n, m):
+    """The quadratic form (n·x)(m·x)."""
+    from flatconic.quadform import QForm3
+    half = Fraction(1, 2)
+    return QForm3(n[0] * m[0], n[1] * m[1], n[2] * m[2],
+                  half * (n[0] * m[1] + n[1] * m[0]),
+                  half * (n[0] * m[2] + n[2] * m[0]),
+                  half * (n[1] * m[2] + n[2] * m[1]))
+
+
+class CollinearTripleError(ValueError):
+    pass
+
+
+@dataclass(frozen=True)
+class NaturalBasis:
+    """The three line-pair forms d_i spanning the pencil through a triple.
+
+    `ordering` is the positively oriented cyclic order of the source points;
+    d_i is degenerate with ordering[i]'s lift in its radical and is negative
+    on the open triangle.
+    """
+    d1: object
+    d2: object
+    d3: object
+    ordering: tuple
+
+    @property
+    def forms(self) -> tuple:
+        return (self.d1, self.d2, self.d3)
+
+
+def natural_basis(Z) -> NaturalBasis:
+    """Natural basis of the pencil of conics through a noncollinear triple,
+    in positions and Fractions: the reference of `cellcomplex._lattice_basis`.
+
+    d_i = -eta_ij * eta_ik where eta_ij is the linear form vanishing on the
+    line through points i and j, normalized to 1 at the third point. That
+    normalization makes each d_i negative on the open triangle, and the
+    (counterclockwise) input order of the points fixes the basis order.
+    """
+    from flatconic.linalg import cross, sign_of
+    from flatconic.quadform import lift
+    if len(Z) != 3:
+        raise ValueError("natural_basis expects exactly 3 points")
+    pts = [(Fraction(x), Fraction(y)) for x, y in Z]
+    orient = sign_of(cross(pts[0], pts[1], pts[2]))
+    if orient == 0:
+        raise CollinearTripleError(f"collinear triple {pts}")
+    if orient < 0:
+        pts = [pts[0], pts[2], pts[1]]
+    lifts = [lift(p) for p in pts]
+
+    def eta(i, j, k):
+        n = _line_through(lifts[i], lifts[j])
+        c = n[0] * lifts[k][0] + n[1] * lifts[k][1] + n[2] * lifts[k][2]
+        # c != 0 because the triple is noncollinear
+        return tuple(v / c for v in n)
+
+    ds = []
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        ds.append(_product_form(eta(i, j, k), eta(i, k, j)).scaled(-1))
+    return NaturalBasis(ds[0], ds[1], ds[2], tuple(pts))
+
+
+def from_poly(A, B, C, D, E, F):
+    """Form of the polynomial A x² + B xy + C y² + D x + E y + F."""
+    from flatconic.quadform import QForm3
+    return QForm3(A, C, F, Fraction(B) / 2, Fraction(D) / 2, Fraction(E) / 2)
+
+
+def _form_at(basis, t1, t2):
+    """The pencil member t1 d1 + t2 d2 + (1 - t1 - t2) d3 of a natural basis,
+    in positions and Fractions."""
+    return combine([(t1, basis.d1), (t2, basis.d2), (1 - t1 - t2, basis.d3)])
+
+
+def realizable_triple(chart, Z) -> bool:
+    """Feasibility route: is Z exactly the cone-point set of some subconic
+    with a 2-dimensional family certifying the 2-cell?"""
+    from flatconic import cellcomplex
+    try:
+        cellcomplex.two_cell(chart, Z)
+        return True
+    except cellcomplex.NotRealizable:
+        return False
+
+
+def realizable_quadruple(chart, Z4) -> bool:
+    """Feasibility route: the pencil through the 4 points cuts the feasible
+    region in a nondegenerate segment with an ellipse interior sample."""
+    from flatconic import cellcomplex
+    from flatconic.linalg import cross, sign_of
+    from flatconic.subconic import SubconicKind, classify
+    from flatconic.surface import dist2
+    Z4 = [tuple(p) for p in Z4]
+    if len(set(Z4)) != 4:
+        return False
+    for triple in combinations(Z4, 3):
+        rest = next(p for p in Z4 if p not in triple)
+        if sign_of(cross(*triple)) == 0:
+            continue
+        try:
+            region = cellcomplex.feasible_region(chart, list(triple),
+                                                 equality=rest)
+        except cellcomplex.NotRealizable:
+            return False
+        pts = region.polygon
+        if len(pts) < 2:
+            return False
+        ends = max(((dist2(a, b), (a, b)) for a, b in combinations(pts, 2)),
+                   default=(0, None))
+        if ends[1] is None or ends[0] == 0:
+            return False
+        (a, b) = ends[1]
+        mid = ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
+        basis = natural_basis(region.triple)
+        kind = classify(_form_at(basis, mid[0], mid[1])).kind
+        return kind is SubconicKind.ELLIPSE_INTERIOR
+    return False

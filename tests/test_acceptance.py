@@ -10,6 +10,7 @@ import time
 from fractions import Fraction as F
 
 import oracles
+from oracles import from_poly
 from flatconic.cellcomplex import (
     build_complex,
     link,
@@ -29,7 +30,6 @@ from flatconic.models import square_torus, two_marked_torus
 from flatconic.quadform import (
     canonical_scale,
     forms_vanishing_on,
-    from_poly,
     lift,
     transform_by_affine,
 )

@@ -16,12 +16,15 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import (from_poly, natural_basis, realizable_quadruple,
+                     realizable_triple)
 
 from flatconic import cellcomplex
 from flatconic.cellcomplex import (
     CellMatching,
     NotRealizable,
     WindowTooSmall,
+    _on_lattice,
     _strip_form,
     _strip_rigid,
     _window_zeros,
@@ -33,17 +36,15 @@ from flatconic.cellcomplex import (
     frontier_bijection,
     link,
     matching_from_affine,
-    realizable_quadruple,
-    realizable_triple,
     rigid_conics,
     two_cell,
 )
 from flatconic.linalg import cross
 from flatconic.models import square_torus, two_marked_torus
-from flatconic.quadform import QForm3, canonical_scale, ellipse_center, from_poly
+from flatconic.quadform import QForm3, canonical_scale, ellipse_center
 from flatconic.subconic import SubconicKind, classify, contains
-from flatconic.surface import (SurfaceError, develop, dist2, parse_surface,
-                               rebase, subconic_fits)
+from flatconic.surface import (Chart, SurfaceError, develop, dist2,
+                               parse_surface, rebase, subconic_fits)
 
 SEED = ((0, 0), (0, 1), (1, 0))
 
@@ -370,11 +371,14 @@ def test_integer_frame_rigid_conics_match_the_fraction_reference(case):
 
 
 def _numbers(obj):
-    """Every number inside a result: dataclass fields, containers, dict keys
-    and values."""
+    """Every number inside a result: dataclass fields, a chart's fields,
+    containers, dict keys and values."""
     if dataclasses.is_dataclass(obj):
         for f in dataclasses.fields(obj):
             yield from _numbers(getattr(obj, f.name))
+    elif isinstance(obj, Chart):
+        for name in Chart._FIELDS:
+            yield from _numbers(getattr(obj, name))
     elif isinstance(obj, dict):
         for k, v in obj.items():
             yield from _numbers(k)
@@ -481,8 +485,8 @@ def test_int_two_cells_match_the_fraction_reference(case):
         assert got == ref
     else:
         got, ref = got[1], ref[1]
-        assert (got.polygon, got.basis, got.chart, got.triple) == \
-            (ref.polygon, ref.basis, ref.chart, ref.triple)
+        assert (got.polygon, got.chart, got.triple) == \
+            (ref.polygon, ref.chart, ref.triple)
         assert repr(got.polygon) == repr(ref.polygon)
         assert [(F(X, W), F(Y, W)) for X, Y, W in got.vertices] == got.polygon
         assert all(W > 0 and math.gcd(X, Y, W) == 1 for X, Y, W in got.vertices)
@@ -570,7 +574,7 @@ def window_scan_cases(draw):
 def test_int_window_scans_match_the_fraction_reference(case):
     chart_case, q, recentre = case
     chart = cached_chart(*chart_case)
-    zeros = _window_zeros(chart, q)
+    zeros = _window_zeros(chart, _on_lattice(q, chart.surface.scale))
     window = chart.window_points
     assert (None if zeros is None else [window[k].position for k in zeros]) \
         == oracles.reference_window_zeros(chart, q)
@@ -595,8 +599,9 @@ def cached_strip_vertices(case):
         return ()
     return tuple((key, form) for key, cell in sorted(window.cells.items())
                  for t1, t2, _ in cell.polygon
-                 if classify(form := cellcomplex._form_at(cell.basis, t1, t2)
-                             ).kind is SubconicKind.STRIP)
+                 if classify(form := oracles._form_at(
+                     natural_basis(cell.triple), t1, t2)).kind
+                 is SubconicKind.STRIP)
 
 
 @st.composite
@@ -642,9 +647,50 @@ def test_strips_match_the_fraction_reference(case):
     chart = cached_chart(*chart_case)
     if centre is not None:
         chart = rebase(chart, centre)
-    got = _strip_rigid(chart, q)
+    got = _strip_rigid(chart, _on_lattice(q, chart.surface.scale))
     ref = oracles.reference_strip_rigid(chart, q)
     assert got == ref
     assert repr(got) == repr(ref)
     if must_be_none:
         assert got is None
+
+
+# ---------------------------------------------------------------------------
+# the lattice vertex forms of `two_cell` against the Fraction pencil member
+
+VERTEX_FORM_CASES = [("stock", name) for name in sorted(STOCK)] + [
+    ("marked", (F(1, 3), F(1, 5))), ("stretched_l",)]
+
+
+def _homogeneous(t1, t2):
+    W = math.lcm(F(t1).denominator, F(t2).denominator)
+    return int(t1 * W), int(t2 * W), W
+
+
+@pytest.mark.parametrize("spec", VERTEX_FORM_CASES, ids=str)
+@pytest.mark.parametrize("radius", [2, 3])
+def test_lattice_vertex_forms_match_the_fraction_pencil(spec, radius):
+    # every vertex and side midpoint of every cell of a budget-6 window: the
+    # lattice form classifies as the Fraction form does, and mapped to
+    # positions it has the same canonical scale
+    chart = cached_chart(spec, None, F(radius))
+    scale = chart.surface.scale
+    window = build_complex(chart, budget=6)
+    checked = 0
+    for cell in window.cells.values():
+        basis = cellcomplex._lattice_basis(cell.triple, scale)
+        fraction_basis = natural_basis(cell.triple)
+        verts = [(t1, t2) for t1, t2, _ in cell.polygon]
+        points = verts + [((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
+                          for a, b in zip(verts, verts[1:] + verts[:1])]
+        for t1, t2 in points:
+            lattice = cellcomplex._vertex_form(basis, *_homogeneous(t1, t2))
+            assert all(type(c) is int for c in lattice.coeffs())
+            ref = oracles._form_at(fraction_basis, t1, t2)
+            assert classify(lattice) == classify(ref)
+            positions = cellcomplex._on_positions(lattice, scale)
+            assert canonical_scale(positions) == canonical_scale(ref)
+            assert repr(canonical_scale(positions)) == \
+                repr(canonical_scale(ref))
+            checked += 1
+    assert checked >= 3 * len(window.cells)

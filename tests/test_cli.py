@@ -209,6 +209,36 @@ def test_rebuild_prints_an_irrational_homothety_exactly(torus_file, tmp_path,
                          "translation: (0,0)"]
 
 
+@pytest.mark.parametrize("target", ["l_shape", "two_marked_torus"])
+def test_rebuild_refuses_surfaces_with_different_cone_angles(target, capsys):
+    # an affine map keeps every cone angle: the L has one 6pi cone point and
+    # the two-marked torus two 2pi ones, the torus one 2pi cone point
+    assert main(["rebuild", str(STOCK / "torus.tsurf"),
+                 str(STOCK / f"{target}.tsurf"), "--radius", "3",
+                 "--budget", "6", "--target-budget", "10"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("certification failure: no affine map "
+                                   "relates the surfaces")
+
+
+@pytest.mark.parametrize("command", ["develop", "complex", "tessellate"])
+def test_unknown_base_polygon_is_an_input_error(torus_file, command, capsys):
+    assert main([command, torus_file, "--base", "p9:1/2,1/2"]) == 2
+    assert capsys.readouterr().err == \
+        "error: base polygon 'p9' is not a polygon of the surface\n"
+
+
+@pytest.mark.parametrize("command", ["complex", "tessellate"])
+def test_repeated_seed_points_are_input_errors(torus_file, command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, torus_file, "--radius", "3", "--budget", "2",
+              "--seed", "0,0;0,0;1,1"])
+    assert exc.value.code == 2
+    assert "error: argument --seed: seed points must be distinct" in \
+        capsys.readouterr().err
+
+
 def test_tessellate_svg(torus_file, tmp_path, capsys):
     svg_path = tmp_path / "tess.svg"
     assert main(["tessellate", torus_file, "--budget", "8",

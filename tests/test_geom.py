@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import from_poly
 from flatconic.geom import HPoint, INFINITY, class_key, h_point, mobius
 from flatconic.lemma import (
     Config,
@@ -18,7 +19,7 @@ from flatconic.lemma import (
     quadruple_form,
     rotation_angle,
 )
-from flatconic.quadform import from_poly, transform_by_affine
+from flatconic.quadform import transform_by_affine
 
 I2 = ((1, 0), (0, 1))
 DISC = from_poly(1, 0, 1, 0, 0, -1)

@@ -7,16 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import degenerate_members, pencil_coefficients
+from oracles import (CollinearTripleError, combine, degenerate_members,
+                     from_poly, natural_basis, pencil_coefficients)
 from flatconic.quadform import (
-    CollinearTripleError,
     QForm3,
     canonical_scale,
-    combine,
     forms_vanishing_on,
-    from_poly,
     lift,
-    natural_basis,
     radical,
     signature,
     signature_restriction,

@@ -7,8 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import is_nowhere_negative
-from flatconic.quadform import QForm3, canonical_scale, from_poly, lift
+from oracles import from_poly, is_nowhere_negative
+from flatconic.quadform import QForm3, canonical_scale, lift
 from flatconic.subconic import (
     DegenerateConfiguration,
     SubconicKind,

@@ -9,9 +9,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import from_poly
 from flatconic.cellcomplex import build_complex
 from flatconic.models import l_shape, square_torus, two_marked_torus
-from flatconic.quadform import ellipse_center, from_poly
+from flatconic.quadform import ellipse_center
 from flatconic.subconic import (DegenerateConfiguration, SubconicKind,
                                 conic_through_five)
 from flatconic.surface import (
@@ -250,6 +251,52 @@ def test_integer_frame_unfolding_matches_the_fraction_reference(case):
             _outcome(oracles.reference_locate, ref, pos)
         assert _outcome(rebase, chart, pos, F(2)) == \
             _outcome(oracles.reference_rebase, ref, pos, F(2))
+
+
+@st.composite
+def rebase_chains(draw):
+    """(surface name, base, radius, steps): a chart and two or three
+    re-bases in a row, each at an offset from the previous chart's base and
+    with its own radius."""
+    name, base, radius, _ = draw(unfolding_cases())
+    offset = st.fractions(-2, 2, max_denominator=7)
+    steps = draw(st.lists(st.tuples(st.tuples(offset, offset),
+                                    st.sampled_from([F(2), F(5, 2), F(3)])),
+                          min_size=2, max_size=3))
+    return name, base, radius, steps
+
+
+@settings(max_examples=25, deadline=None)
+@given(rebase_chains())
+# a re-base onto an edge of a re-based chart (a boundary placement), then
+# onward
+@example(("torus", ("p0", (F(1, 2), F(1, 3))), F(3),
+          [((F(1, 3), F(1, 5)), F(3)), ((F(-1, 3), F(-8, 15)), F(2)),
+           ((F(1, 2), F(1, 2)), F(2))]))
+@example(("stretched_l", ("p0", (2, 0)), F(4),
+          [((F(1, 2), F(1, 3)), F(3)), ((F(-1, 7), F(2, 7)), F(5, 2))]))
+@example(("marked_third_fifth", ("t0", (F(1, 2), F(1, 10))), F(3),
+          [((F(3, 7), F(-1, 7)), F(3)), ((F(-5, 7), F(2, 7)), F(2))]))
+def test_chains_of_rebases_match_the_fraction_reference(case):
+    # each chart of the chain is re-based from the previous one, so `locate`
+    # and `rebase` read the int frame of a re-based chart
+    name, base, radius, steps = case
+    chart = develop(UNFOLDED[name], base, radius)
+    ref = oracles.reference_develop(UNFOLDED[name], base, radius)
+    for (dx, dy), step_radius in steps:
+        pos = (chart.base[0] + dx, chart.base[1] + dy)
+        got = _outcome(locate, chart, pos)
+        want = _outcome(oracles.reference_locate, ref, pos)
+        assert got == want
+        assert repr(got) == repr(want)
+        got = _outcome(rebase, chart, pos, step_radius)
+        want = _outcome(oracles.reference_rebase, ref, pos, step_radius)
+        assert got == want
+        assert repr(got) == repr(want)
+        if got[0] != "ok":
+            return
+        chart, ref = got[1], want[1]
+        assert chart.lattice == ref.lattice
 
 
 # ---------------------------------------------------------------------------
