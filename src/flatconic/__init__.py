@@ -13,6 +13,12 @@ window: g is a member iff the Delaunay decompositions of g S and S differ by
 a translation (`flatconic.delaunay`).  The package runs on the standard
 library alone; the float layer of the ellipse lemma needs numpy and is
 imported from `flatconic.lemma`.
+
+Inside the complex every cone point is its int lattice point, the position
+times the surface's scale (`SurfaceDesc.scale`): boundaries, triples,
+1-cells, window keys, matchings and bijections. `to_lattice` and
+`to_position` convert between a position and its lattice point; only
+output and error messages go back to positions.
 """
 
 from .quadform import (
@@ -20,7 +26,6 @@ from .quadform import (
     canonical_scale,
     forms_vanishing_on,
     lift,
-    radical,
     signature,
     signature_restriction,
     transform_by_affine,
@@ -45,6 +50,8 @@ from .surface import (
     parse_surface,
     rebase,
     surface_to_json,
+    to_lattice,
+    to_position,
 )
 from .models import l_shape, square_torus, two_marked_torus
 from .cellcomplex import (

@@ -2,26 +2,34 @@
 
 Vertices are rigid conics (ellipses through >= 5 cone points with empty
 interior, and maximal strips), 1-cells are realizable quadruples, 2-cells are
-realizable triples. For a triple Z the 2-cell is computed exactly in the
-T-plane of its natural pencil basis: every other cone point z contributes the
-linear constraint q_t(z) >= 0, and the feasible polygon is cut out of the
-unit simplex by Sutherland-Hodgman clipping. Both run on the surface's one
-integer lattice Z^2 / `surface.scale`, which holds every window point of
-every chart, re-based ones included (`Chart.lattice`): the constraints come
-from the barycentric coordinates of z on it, a positive multiple of each,
-and the clipped polygon keeps its vertices as homogeneous int triples until
-it is returned.
+realizable triples. Every cone point of every chart lies on the surface's
+one integer lattice Z^2 / `surface.scale` (`Chart.lattice`), and inside the
+complex a point is its lattice int pair, the position times the scale: the
+boundaries and successor maps of rigid conics, the triples and 1-cells of
+2-cells, the keys of a window's cells, edges and vertices, and the keys of a
+cell matching and a frontier bijection. A positive scaling keeps the
+lexicographic order, so every key sorts as its positions do. Points become
+Fraction positions only through `surface.to_position`, in `complex_to_json`,
+`_face_id` and error messages.
 
+For a triple Z the 2-cell is computed exactly in the T-plane of its natural
+pencil basis: every other cone point z contributes the linear constraint
+q_t(z) >= 0, and the feasible polygon is cut out of the unit simplex by
+Sutherland-Hodgman clipping. The constraints come from the int barycentric
+coordinates of z on the lattice of a chart re-based at the centroid, a
+positive multiple of each, and the clipped polygon keeps its vertices as
+homogeneous int triples until it is returned.
+
+Conics are lattice forms: int forms Q in the lattice coordinates (X, Y, 1).
 The pencil members a 2-cell classifies (its interior sample, side midpoints
-and vertices) are lattice forms: int forms Q in the lattice coordinates
-(X, Y, 1), built from the int basis D_i = -2 Lambda_{i+1} Lambda_{i+2} of
-the triple's int barycentric coordinates (`_lattice_basis`). Up to the
-congruence diag(scale, scale, 1), Q is a positive multiple of the Fraction
-pencil member, so it has the same class, zeros and signs. The window scans
-`_window_zeros`, `_strip_rigid` and `_ellipse_rigid` take lattice forms
-only (`rigid_conics` converts its five-point form once, `_on_lattice`), and
-only `_ellipse_rigid` maps a form back to positions (`_on_positions`), for
-its centre, its window certificate and the stored conic.
+and vertices) are built from the int basis D_i = -2 Lambda_{i+1}
+Lambda_{i+2} of the triple's int barycentric coordinates (`_lattice_basis`);
+up to the congruence diag(scale, scale, 1), Q is a positive multiple of the
+Fraction pencil member, so it has the same class, zeros and signs. A rigid
+conic keeps its lattice form as a primitive int class (`_form_class`), and
+its position form (`RigidConic.subconic`) is derived only for output. Only
+`_ellipse_rigid` maps a form to positions before that (`_on_positions`), for
+its centre and window certificate.
 
 The chord graph of `rigid_conics` keys each pair by the signed primitive int
 ray from one point to the other, so a chord is an edge iff its far end is
@@ -32,10 +40,9 @@ boundary points of an ellipse are in strictly convex position and a point
 strictly inside their hull is strictly inside the ellipse. Every strip is
 built by `_strip` from consecutive int levels along its normal.
 
-Two windows are matched under an affine map on the int view of each window
-(`CellComplexWindow.ints`, its keys on the lattice), built once per window:
-candidate maps are vetted on ints, and only what a caller reads goes back to
-positions.
+Two windows are matched under an affine map on their lattice keys: the map
+is carried to ints between the two lattices, and forms are matched by their
+lattice classes.
 """
 
 from __future__ import annotations
@@ -49,15 +56,15 @@ from itertools import combinations
 from typing import Optional
 
 from .geom import h_point
-from .linalg import (Scalar, clear_denominators, common_denominator,
-                     convex_hull_ccw, cross, dot2, fraction_str, primitive,
-                     scaled_int, sign_of)
+from .linalg import (clear_denominators, common_denominator, convex_hull_ccw,
+                     cross, dot2, fraction_str, primitive, scaled_int)
 from .quadform import QForm3, canonical_scale, congruent, ellipse_center
 from .subconic import (Subconic, SubconicKind, classify, conic_through_five,
-                       strip_direction, subconic)
-from .surface import Chart, Fit, SurfaceError, dist2, rebase, subconic_fits
+                       strip_direction)
+from .surface import (Chart, Fit, SurfaceError, rebase, subconic_fits,
+                      to_position)
 
-Position = tuple[Scalar, Scalar]
+Point = tuple[int, int]       # a lattice point: a position times the scale
 
 
 class NotRealizable(ValueError):
@@ -68,8 +75,13 @@ class WindowTooSmall(ValueError):
     """The window cannot decide the query; a larger radius may."""
 
 
-def _pos_key(positions) -> tuple:
-    return tuple(sorted((p[0], p[1]) for p in positions))
+def _key(points) -> tuple:
+    return tuple(sorted(points))
+
+
+def _shown(points, scale: int) -> tuple:
+    """Lattice points as positions, for messages."""
+    return tuple(to_position(p, scale) for p in points)
 
 
 # ---------------------------------------------------------------------------
@@ -77,28 +89,33 @@ def _pos_key(positions) -> tuple:
 
 @dataclass(frozen=True)
 class RigidConic:
-    subconic: Subconic
-    # ellipses: one counterclockwise cyclic tuple; strips: two tuples, one per
-    # boundary line, each listed in successor (advance) order
+    form: QForm3             # the lattice form's class (`_form_class`)
+    kind: SubconicKind
+    # lattice points. Ellipses: one counterclockwise cyclic tuple; strips:
+    # two tuples, one per boundary line, each in successor (advance) order
     boundary: tuple
     truncated: bool
+    scale: int               # the lattice is Z^2 / scale
 
-    @property
-    def kind(self) -> SubconicKind:
-        return self.subconic.kind
+    @cached_property
+    def subconic(self) -> Subconic:
+        """The conic on positions, for output: the form x -> form(scale x,
+        scale y, 1) in `canonical_scale`."""
+        return Subconic(canonical_scale(_on_positions(self.form, self.scale)),
+                        self.kind)
 
-    def boundary_points(self) -> tuple[Position, ...]:
+    def boundary_points(self) -> tuple[Point, ...]:
         if self.kind is SubconicKind.ELLIPSE_INTERIOR:
             return self.boundary
         return tuple(self.boundary[0]) + tuple(self.boundary[1])
 
     def key(self) -> tuple:
-        """The sorted boundary positions; sorted once per conic."""
+        """The sorted boundary points; sorted once per conic."""
         return self._key
 
     @cached_property
     def _key(self) -> tuple:
-        return _pos_key(self.boundary_points())
+        return _key(self.boundary_points())
 
     def successor(self) -> dict:
         """The next-point-along-the-boundary map (partial at window ends).
@@ -118,6 +135,14 @@ class RigidConic:
                     succ[a] = b
         return succ
 
+    def predecessor(self) -> dict:
+        """The inverse of `successor`, built once per conic and shared."""
+        return self._predecessor
+
+    @cached_property
+    def _predecessor(self) -> dict:
+        return {b: a for a, b in self._successor.items()}
+
 
 def _window_zeros(chart: Chart, q: QForm3) -> Optional[list[int]]:
     """The indices into `chart.window_points` where the lattice form q
@@ -133,11 +158,14 @@ def _window_zeros(chart: Chart, q: QForm3) -> Optional[list[int]]:
     return zeros
 
 
-def _on_lattice(q: QForm3, scale: int) -> QForm3:
-    """The lattice form of a position form: an int form Q with
-    Q(X, Y, 1) = k q(X / scale, Y / scale, 1) for some k > 0."""
-    return QForm3(*clear_denominators(
-        congruent(q.coeffs(), ((1, 0), (0, 1)), (0, 0), scale)))
+def _form_class(coeffs) -> tuple:
+    """The primitive int vector of a nonzero int form, with its first nonzero
+    coefficient positive. For an indefinite form, such as every rigid conic's,
+    this is exactly the class `canonical_scale` picks."""
+    g = math.gcd(*coeffs)
+    if next(c for c in coeffs if c) < 0:
+        g = -g
+    return tuple(c // g for c in coeffs)
 
 
 def _on_positions(q: QForm3, scale: int) -> QForm3:
@@ -154,22 +182,23 @@ def _ellipse_rigid(chart: Chart, q: QForm3) -> Optional[RigidConic]:
     certificate from a chart re-based at the ellipse center. Boundary and
     interior tests run over every developed point of the window (occluded
     ones included), so the result does not depend on the chart's base. Only
-    a form that passes the scan goes back to positions, for its centre, the
-    certificate and the stored conic.
+    a form that passes the scan goes to positions, for its centre and the
+    certificate.
     """
     zeros = _window_zeros(chart, q)
     if zeros is None or len(zeros) < 5:
         return None
-    q = _on_positions(q, chart.surface.scale)
-    fit = subconic_fits(rebase(chart, ellipse_center(q)), q)
+    scale = chart.surface.scale
+    qp = _on_positions(q, scale)
+    fit = subconic_fits(rebase(chart, ellipse_center(qp)), qp)
     if fit is Fit.NO:
         return None
-    window = chart.window_points
-    cyc = convex_hull_ccw([window[k].position for k in zeros])
+    cyc = convex_hull_ccw([chart.lattice[k] for k in zeros])
     if len(cyc) != len(zeros):
         return None  # boundary points of an ellipse are in convex position
-    return RigidConic(subconic(canonical_scale(q)), tuple(cyc),
-                      truncated=(fit is not Fit.YES))
+    return RigidConic(QForm3(*_form_class(q.coeffs())),
+                      SubconicKind.ELLIPSE_INTERIOR, tuple(cyc),
+                      fit is not Fit.YES, scale)
 
 
 def _strip_rigid(chart: Chart, q: QForm3) -> Optional[RigidConic]:
@@ -199,26 +228,29 @@ def _levels(chart: Chart, d: tuple, indices) -> list:
 def _strip(chart: Chart, d: tuple, lower: tuple, upper: tuple) -> RigidConic:
     """The truncated strip between the `_levels` buckets lower = (lo, low)
     and upper = (hi, high), lo < hi, of the canonical primitive direction d.
-    Its form (l - lo)(l - hi), l the normal functional, is negative exactly
-    between the lines; its successor advances +d on the low line and -d on
-    the high one, so (advance, inward normal) is positively oriented."""
-    L, ints, window = chart.surface.scale, chart.lattice, chart.window_points
+    Its form 2 (l - lo)(l - hi), l = nx X + ny Y the normal functional, is
+    negative exactly between the lines; its successor advances +d on the low
+    line and -d on the high one, so (advance, inward normal) is positively
+    oriented."""
+    ints = chart.lattice
     (lo, low), (hi, high) = lower, upper
     low, high = (sorted(ks, key=lambda k: dot2(d, ints[k]))
                  for ks in (low, high))
-    q = _strip_form((-d[1], d[0]), Fraction(lo, L), Fraction(hi, L))
-    return RigidConic(Subconic(q, SubconicKind.STRIP),
-                      (tuple(window[k].position for k in low),
-                       tuple(window[k].position for k in reversed(high))),
-                      truncated=True)
+    nx, ny = -d[1], d[0]
+    form = _form_class((2 * nx * nx, 2 * ny * ny, 2 * lo * hi, 2 * nx * ny,
+                        -(lo + hi) * nx, -(lo + hi) * ny))
+    return RigidConic(QForm3(*form), SubconicKind.STRIP,
+                      (tuple(ints[k] for k in low),
+                       tuple(ints[k] for k in reversed(high))),
+                      True, chart.surface.scale)
 
 
 def rigid_conics(chart: Chart) -> list[RigidConic]:
     """All windowed rigid conics: empty-interior ellipses through >= 5 cone
     points (that fit the chart) and maximal strips with 2+2 boundary points.
 
-    Runs on the surface's lattice (`Chart.lattice`): every position is an
-    int pair scaled by the surface's scale.
+    Runs on the surface's lattice (`Chart.lattice`): every point is an int
+    pair, its position times the surface's scale.
 
     Ellipses come from a clique search over the chord graph of the visible
     points. An occluded point can block a chord too, and a cone point strictly
@@ -237,12 +269,11 @@ def rigid_conics(chart: Chart) -> list[RigidConic]:
     normal, and each pair of consecutive levels holding >= 2 points each is
     a maximal strip. No point lies strictly between consecutive levels and
     the zero set is exactly the two buckets, so `_strip` builds it from them
-    directly. Only forms and boundaries are converted back to Fractions, and
-    each five-point form goes to the lattice once (`_on_lattice`).
+    directly. Each five-point solve runs on lattice points, so its form is
+    the lattice form once cleared of denominators.
     """
-    window = [p.position for p in chart.window_points]
-    ints, L = chart.lattice, chart.surface.scale
-    n = len(chart.points)        # the visible points lead window_points
+    ints = chart.lattice
+    n = len(chart.frame.points)  # the visible points lead the lattice
     found: dict[tuple, RigidConic] = {}
 
     # --- ellipses: clique search over the chord graph
@@ -267,12 +298,13 @@ def rigid_conics(chart: Chart) -> list[RigidConic]:
             if len(hull) < 5 or not _empty_pentagon(hull, ints):
                 return
             try:
-                cand = conic_through_five([window[i] for i in clique])
+                cand = conic_through_five([ints[i] for i in clique])
             except ValueError:
                 return
             if cand.kind is not SubconicKind.ELLIPSE_INTERIOR:
                 return
-            rigid = _ellipse_rigid(chart, _on_lattice(cand.form, L))
+            rigid = _ellipse_rigid(
+                chart, QForm3(*clear_denominators(cand.form.coeffs())))
             if rigid is not None:
                 found.setdefault(rigid.key(), rigid)
             return
@@ -311,17 +343,6 @@ def _empty_pentagon(hull: list, points: list) -> bool:
              for a, b in zip(hull, hull[1:] + hull[:1])]
     return not any(all(u * x + v * y + w > 0 for u, v, w in edges)
                    for x, y in points)
-
-
-def _strip_form(normal: Position, lo: Scalar, hi: Scalar) -> QForm3:
-    """(nx*x + ny*y - lo)(nx*x + ny*y - hi) for an int normal, already in
-    `canonical_scale`: divided by its leading coefficient nx², or ny² when
-    nx = 0. The form has signature (1, 1, 1), so no sign flip applies."""
-    nx, ny = normal
-    lead = nx * nx or ny * ny
-    return QForm3(Fraction(nx * nx, lead), Fraction(ny * ny, lead),
-                  lo * hi / lead, Fraction(nx * ny, lead),
-                  -(lo + hi) * nx / (2 * lead), -(lo + hi) * ny / (2 * lead))
 
 
 # ---------------------------------------------------------------------------
@@ -367,78 +388,78 @@ class FeasibleRegion:
     polygon: list                 # (t1, t2) vertices, CCW from lex-min
     vertices: list                # the same vertices as int (X, Y, W), W > 0
     chart: Chart                  # rebased at the triple's centroid
-    constraints: list             # (a, b, c, source position), a, b, c ints
-    triple: tuple                 # positions, counterclockwise
+    constraints: list             # (a, b, c, source point), a, b, c ints
+    triple: tuple                 # lattice points, counterclockwise
 
 
-def _barycentric(triple, scale: int) -> list:
-    """The int lines Lambda_k = (u, v, c) of a counterclockwise triple on
-    the lattice: Lambda_k(X, Y) = uX + vY + c = cross(P_{k+1}, P_{k+2},
-    (X, Y)), P_i the triple's points times `scale`. Each is the barycentric
-    coordinate lambda_k times the same positive int, twice the lattice area
-    of the triangle."""
-    P = [(scaled_int(x, scale), scaled_int(y, scale)) for x, y in triple]
+def _barycentric(triple) -> list:
+    """The int lines Lambda_k = (u, v, c) of a counterclockwise lattice
+    triple P: Lambda_k(X, Y) = uX + vY + c = cross(P_{k+1}, P_{k+2},
+    (X, Y)). Each is the barycentric coordinate lambda_k times the same
+    positive int, twice the lattice area of the triangle."""
     sides = []
     for k in range(3):
-        (x1, y1), (x2, y2) = P[(k + 1) % 3], P[(k + 2) % 3]
+        (x1, y1), (x2, y2) = triple[(k + 1) % 3], triple[(k + 2) % 3]
         sides.append((y1 - y2, x2 - x1, x1 * y2 - x2 * y1))
     return sides
 
 
 def feasible_region(chart: Chart, Z,
-                    equality: Optional[Position] = None) -> FeasibleRegion:
+                    equality: Optional[Point] = None) -> FeasibleRegion:
     """Clip the T-plane simplex by every cone-point constraint.
 
-    Re-bases the chart at the triangle centroid so the visibility region is
-    the right one for subconics containing the triangle. With `equality` set,
-    the region is further cut to the line q_t(equality) = 0.
+    Z is a triple of lattice points (`Chart.lattice`). Re-bases the chart at
+    the triangle centroid so the visibility region is the right one for
+    subconics containing the triangle. With `equality` set, the region is
+    further cut to the line q_t(equality) = 0.
 
     Runs on ints. The basis form d_i is -lambda_j lambda_k, lambda being the
     barycentric coordinates of the counterclockwise triple (j, k the two
-    indices after i). On the lattice of the re-based chart (positions times
-    L, the surface's scale), `_barycentric`'s Lambda_k(w) is an int and a
-    positive multiple of lambda_k(w), the same multiple for every w. So each
-    constraint (a, b, c) = (d1 - d3, d2 - d3, d3)(w) is an int multiple of
-    the rational one by a positive factor, and the clipped polygon and its
-    T-plane coordinates do not change. A cone point is strictly inside the
-    triangle iff its three Lambdas are positive.
+    indices after i). On the lattice, `_barycentric`'s Lambda_k(w) is an int
+    and a positive multiple of lambda_k(w), the same multiple for every w.
+    So each constraint (a, b, c) = (d1 - d3, d2 - d3, d3)(w) is an int
+    multiple of the rational one by a positive factor, and the clipped
+    polygon and its T-plane coordinates do not change. A cone point is
+    strictly inside the triangle iff its three Lambdas are positive.
     """
     Z = [tuple(p) for p in Z]
     if len(Z) != 3 or len(set(Z)) != 3:
         raise ValueError("need 3 distinct points")
-    centroid = (sum(Fraction(p[0]) for p in Z) / 3,
-                sum(Fraction(p[1]) for p in Z) / 3)
-    orient = sign_of(cross(Z[0], Z[1], Z[2]))
+    L = chart.surface.scale
+    sx, sy = Z[0][0] + Z[1][0] + Z[2][0], Z[0][1] + Z[1][1] + Z[2][1]
+    orient = cross(Z[0], Z[1], Z[2])
     if orient == 0:
-        raise NotRealizable(f"collinear triple {Z}")
+        raise NotRealizable(f"collinear triple {list(_shown(Z, L))}")
+    centroid = to_position((sx, sy), 3 * L)
     try:
         ch = rebase(chart, centroid)
     except SurfaceError as exc:
         # the centroid lies strictly inside the triangle
-        if any(p.position == centroid for p in chart.window_points):
+        if sx % 3 == sy % 3 == 0 and (sx // 3, sy // 3) in chart.lattice:
             raise NotRealizable(f"cone point {centroid} lies strictly inside "
-                                f"the triangle {Z}") from exc
-        raise WindowTooSmall(
-            f"cannot re-base at the centroid of {Z}: {exc}") from exc
-    visible = [p.position for p in ch.points]
+                                f"the triangle {list(_shown(Z, L))}") from exc
+        raise WindowTooSmall(f"cannot re-base at the centroid of "
+                             f"{list(_shown(Z, L))}: {exc}") from exc
+    visible = ch.lattice[:len(ch.frame.points)]
     vis_set = set(visible)
     for z in Z:
         if z not in vis_set:
-            raise NotRealizable(
-                f"{z} is not a visible cone point of the re-based chart")
-    ccw = tuple((Fraction(x), Fraction(y))
-                for x, y in (Z if orient > 0 else (Z[0], Z[2], Z[1])))
-    sides = _barycentric(ccw, ch.surface.scale)
+            raise NotRealizable(f"{to_position(z, L)} is not a visible cone "
+                                "point of the re-based chart")
+    ccw = tuple(Z if orient > 0 else (Z[0], Z[2], Z[1]))
+    sides = _barycentric(ccw)
     zset = set(Z)
     eq = tuple(equality) if equality is not None else None
     rows = []
-    for w, (X, Y) in zip(visible, ch.lattice):
+    for w in visible:
         if w in zset:
             continue
+        X, Y = w
         l0, l1, l2 = (u * X + v * Y + c for u, v, c in sides)
         if w != eq and l0 > 0 and l1 > 0 and l2 > 0:
             raise NotRealizable(
-                f"cone point {w} lies strictly inside the triangle {Z}")
+                f"cone point {to_position(w, L)} lies strictly inside the "
+                f"triangle {list(_shown(Z, L))}")
         # (d1 - d3, d2 - d3, d3) with d_i = -Lambda_{i+1} Lambda_{i+2}
         rows.append((l1 * (l0 - l2), l0 * (l1 - l2), -l0 * l1, w))
     poly = [(0, 0, 1), (1, 0, 1), (0, 1, 1)]
@@ -453,29 +474,34 @@ def feasible_region(chart: Chart, Z,
         if not poly:
             break
     if eq is not None and eq not in vis_set:
-        raise NotRealizable(f"{equality} is not a visible cone point")
-    points = {(Fraction(X, W), Fraction(Y, W)): (X, Y, W) for X, Y, W in poly}
-    polygon = list(points)
-    if len(polygon) >= 3:
-        polygon = convex_hull_ccw(polygon)
-    return FeasibleRegion(polygon, [points[p] for p in polygon], ch,
+        raise NotRealizable(f"{to_position(eq, L)} is not a visible cone "
+                            "point")
+    # the hull runs on the vertices over one common W, as ints
+    M = math.lcm(*(W for _, _, W in poly))
+    points = {(X * (M // W), Y * (M // W)): (X, Y, W) for X, Y, W in poly}
+    order = list(points)
+    if len(order) >= 3:
+        order = convex_hull_ccw(order)
+    vertices = [points[P] for P in order]
+    return FeasibleRegion([(Fraction(X, W), Fraction(Y, W))
+                           for X, Y, W in vertices], vertices, ch,
                           constraints, ccw)
 
 
-def _area2(poly) -> Scalar:
+def _area2(poly) -> Fraction:
     return sum(poly[i][0] * poly[(i + 1) % len(poly)][1]
                - poly[(i + 1) % len(poly)][0] * poly[i][1]
                for i in range(len(poly)))
 
 
-def _lattice_basis(triple, scale: int) -> list:
+def _lattice_basis(triple) -> list:
     """The basis forms D_i = -2 Lambda_{i+1} Lambda_{i+2} of the pencil
-    through a counterclockwise triple, as int coefficients on the lattice
+    through a counterclockwise lattice triple, as int coefficients
     (`_barycentric`). D_i is the natural basis form d_i = -lambda_{i+1}
     lambda_{i+2} on the lattice times one positive int, the same for every
     i; the 2 clears the halves of the off-diagonal Gram entries."""
     forms = []
-    sides = _barycentric(triple, scale)
+    sides = _barycentric(triple)
     for i in range(3):
         (u1, v1, c1), (u2, v2, c2) = sides[(i + 1) % 3], sides[(i + 2) % 3]
         forms.append((-2 * u1 * u2, -2 * v1 * v2, -2 * c1 * c2,
@@ -493,19 +519,20 @@ def _vertex_form(basis: list, X, Y, W) -> QForm3:
 
 @dataclass
 class TwoCell:
-    triple: tuple                    # positions, counterclockwise
+    triple: tuple                    # lattice points, counterclockwise
     polygon: tuple                   # T-plane vertices (t1, t2, t3), CCW
     vertex_conics: tuple             # RigidConic or None per polygon vertex
-    edge_quadruples: tuple           # sorted 4-position keys per polygon side
+    edge_quadruples: tuple           # sorted 4-point keys per polygon side
     complete: bool
     flags: tuple                     # human-readable truncation notes
 
     def key(self) -> tuple:
-        return _pos_key(self.triple)
+        return _key(self.triple)
 
 
 def two_cell(chart: Chart, Z) -> TwoCell:
-    """The 2-cell of a realizable triple, as an exact convex T-plane polygon.
+    """The 2-cell of a realizable triple of lattice points, as an exact
+    convex T-plane polygon.
 
     Every polygon side is supported by one extra cone point (its quadruple is
     the side's 1-cell); every polygon vertex is classified as a rigid conic.
@@ -515,15 +542,15 @@ def two_cell(chart: Chart, Z) -> TwoCell:
     The sample, side-midpoint and vertex forms are lattice forms
     (`_vertex_form` on `_lattice_basis`) at homogeneous T-plane points, so
     they are ints; classifying one needs no positions, and only an ellipse
-    vertex goes back to positions (`_ellipse_rigid`).
+    vertex goes to positions (`_ellipse_rigid`).
     """
     region = feasible_region(chart, Z)
     poly = region.polygon
-    if len(poly) < 3 or sign_of(_area2(poly)) <= 0:
+    if len(poly) < 3 or _area2(poly) <= 0:
         raise NotRealizable(
-            f"triple {tuple(Z)} has no 2-dimensional family of subconics "
-            "(feasible region has empty interior)")
-    basis = _lattice_basis(region.triple, chart.surface.scale)
+            f"triple {_shown(Z, chart.surface.scale)} has no 2-dimensional "
+            "family of subconics (feasible region has empty interior)")
+    basis = _lattice_basis(region.triple)
     hverts = region.vertices
     flags = []
     # sample the interior, at the mean of the vertices: must be an honest
@@ -535,7 +562,8 @@ def two_cell(chart: Chart, Z) -> TwoCell:
         sum(Y * (M // W) for _, Y, W in hverts), len(hverts) * M))
     if sample.kind is not SubconicKind.ELLIPSE_INTERIOR:
         raise WindowTooSmall(
-            f"interior sample of the feasible polygon for {tuple(Z)} is "
+            f"interior sample of the feasible polygon for "
+            f"{_shown(Z, chart.surface.scale)} is "
             f"{sample.kind.value}; enlarge the window")
 
     n = len(poly)
@@ -556,14 +584,15 @@ def two_cell(chart: Chart, Z) -> TwoCell:
             continue
         if not supporters:
             raise WindowTooSmall(
-                f"side {i} of the cell of {tuple(Z)} is unsupported")
+                f"side {i} of the cell of {_shown(Z, chart.surface.scale)} "
+                "is unsupported")
         if len(supporters) > 1:
             flags.append(f"side {i} supported by {len(supporters)} cone points")
         mid = classify(_vertex_form(basis, pX * qW + qX * pW,
                                     pY * qW + qY * pW, 2 * pW * qW))
         if mid.kind is not SubconicKind.ELLIPSE_INTERIOR:
             flags.append(f"side {i} midpoint is {mid.kind.value}")
-        edge_quads.append(_pos_key(list(region.triple) + [supporters[0]]))
+        edge_quads.append(_key(region.triple + (supporters[0],)))
 
     vertex_conics = []
     for i, (X, Y, W) in enumerate(hverts):
@@ -682,13 +711,13 @@ def link(U: RigidConic) -> Link:
                     continue
                 quad = {cyc[i], succ[cyc[i]], cyc[j], succ[cyc[j]]}
                 if len(quad) == 4:
-                    quads.append(_pos_key(quad))
+                    quads.append(_key(quad))
     else:
         pairs0 = list(zip(U.boundary[0], U.boundary[0][1:]))
         pairs1 = list(zip(U.boundary[1], U.boundary[1][1:]))
         for a in pairs0:
             for b in pairs1:
-                quads.append(_pos_key(set(a) | set(b)))
+                quads.append(_key(set(a) | set(b)))
     quads = sorted(set(quads))
     edges = []
     for qa, qb in combinations(quads, 2):
@@ -708,22 +737,17 @@ def link(U: RigidConic) -> Link:
 class CellComplexWindow:
     chart: Chart
     cells: dict          # triple key -> TwoCell
-    edges: dict          # quadruple key -> {"cells": [...], "endpoints": [...]}
+    edges: dict          # quadruple key -> {"cells": [...], "endpoints": set}
     vertices: dict       # rigid key -> RigidConic
     seed: tuple
     budget: int
     exhausted: bool      # True when no frontier remained within the budget
 
-    @cached_property
-    def ints(self) -> "_WindowInts":
-        """The int view on which `matching_from_affine` and
-        `frontier_bijection` vet candidate maps, built on first use."""
-        return _WindowInts(self)
-
 
 def build_complex(chart: Chart, seed=None,
                   budget: int = 20) -> CellComplexWindow:
-    """Breadth-first exploration of 2-cells from a seed triple.
+    """Breadth-first exploration of 2-cells from a seed triple of lattice
+    points.
 
     Crossing a boundary 1-cell leads to the other realizable triples inside
     its quadruple. The frontier is expanded in canonical key order, so the
@@ -735,7 +759,7 @@ def build_complex(chart: Chart, seed=None,
         seed, first = _default_seed_cell(chart)
     else:
         first = two_cell(chart, seed)  # raises NotRealizable for bad seeds
-    seed_key = _pos_key(seed)
+    seed_key = _key(seed)
     cells = {seed_key: first}
     edges: dict = {}
     vertices: dict = {}
@@ -750,16 +774,15 @@ def build_complex(chart: Chart, seed=None,
                 if quad is None:
                     continue
                 for triple in combinations(quad, 3):
-                    tkey = _pos_key(triple)
-                    if tkey in cells or tkey == cell_key:
+                    if triple in cells:     # a sorted quad gives sorted keys
                         continue
                     try:
                         new = two_cell(chart, triple)
                     except (NotRealizable, WindowTooSmall):
                         continue
-                    cells[tkey] = new
+                    cells[triple] = new
                     _absorb(new, edges, vertices)
-                    next_frontier.append(tkey)
+                    next_frontier.append(triple)
                     if len(cells) >= budget:
                         break
                 if len(cells) >= budget:
@@ -772,24 +795,27 @@ def build_complex(chart: Chart, seed=None,
         frontier = sorted(next_frontier)
     for quad, rec in edges.items():
         rec["cells"] = sorted(set(rec["cells"]))
-    return CellComplexWindow(chart, cells, edges, vertices,
-                             _pos_key(seed), budget, exhausted)
+    return CellComplexWindow(chart, cells, edges, vertices, seed_key, budget,
+                             exhausted)
 
 
 def default_seed(chart: Chart) -> tuple:
     """The first realizable triple among the visible points nearest the base.
 
-    Candidates are scanned in (distance, position) order over the eight
-    nearest points, so the choice is deterministic for a given chart.
+    Candidates are lattice points, scanned in (distance, position) order
+    over the eight nearest, so the choice is deterministic for a given chart.
     """
     return _default_seed_cell(chart)[0]
 
 
 def _default_seed_cell(chart: Chart) -> tuple:
-    """`default_seed`'s triple, in scan order, and its 2-cell."""
-    pts = [d.position for d in sorted(
-        chart.points, key=lambda d: (dist2(d.position, chart.base), d.position))]
-    for triple in combinations(pts[:8], 3):
+    """`default_seed`'s triple, in scan order, and its 2-cell. A visible
+    entry of the chart's int frame is its offset from the base, so it sorts
+    by distance as its position does."""
+    frame = chart.frame
+    near = sorted((x * x + y * y, P)
+                  for (x, y, _, _), P in zip(frame.points, chart.lattice))
+    for triple in combinations([P for _, P in near[:8]], 3):
         try:
             return triple, two_cell(chart, triple)
         except (NotRealizable, WindowTooSmall):
@@ -816,141 +842,19 @@ def _absorb(cell: TwoCell, edges: dict, vertices: dict) -> None:
 # ---------------------------------------------------------------------------
 # matching two windows
 #
-# Candidate maps are vetted on the int view of each window: every position of
-# its cell, edge and vertex keys times L, the surface's scale (supporters
-# found on re-based charts lie on the lattice too). A positive scaling keeps
-# the lexicographic order, so a sorted key stays sorted and keys sort as their
-# positions do; results go back to positions only when they are read.
+# Keys are lattice points of each window's surface. Between the lattices
+# Z^2 / L_A and Z^2 / L_B an affine map of positions is an affine map of ints
+# over one common denominator, and a rigid conic's image is matched by its
+# lattice form class.
 
-@dataclass(frozen=True, eq=False)
-class _ConicInts:
-    """A rigid conic on the int view of its window: the successor map and its
-    inverse on int positions. `name` (its position key) and `frac` (the
-    view's int -> position map) only serve messages."""
-    kind: SubconicKind
-    succ: dict
-    pred: dict
-    name: tuple
-    frac: dict
-
-
-def _form_class(coeffs) -> tuple:
-    """The primitive int vector of a nonzero int form, with its first nonzero
-    coefficient positive. For an indefinite form, such as every rigid conic's,
-    this is exactly the class `canonical_scale` picks."""
-    g = math.gcd(*coeffs)
-    if next(c for c in coeffs if c) < 0:
-        g = -g
-    return tuple(c // g for c in coeffs)
-
-
-class _WindowInts:
-    """The int view of a window (see above), built once per window.
-
-    `cells` maps a cell to the 1-cells of its sides, `edges` a 1-cell to its
-    endpoint conics, `incident` a conic to its 1-cells in sorted order.
-    `forms` holds each vertex form on the view, as its `_form_class` at
-    (X, Y, 1) for the position (X, Y)/L, and `by_form` indexes them.
-    """
-
-    def __init__(self, window: CellComplexWindow):
-        positions = {p for keys in (window.cells, window.edges, window.vertices)
-                     for key in keys for p in key}
-        self.L = L = window.chart.surface.scale
-        self.pos = {p: (scaled_int(p[0], L), scaled_int(p[1], L))
-                    for p in positions}
-        self.frac = {P: p for p, P in self.pos.items()}
-        key = self.key
-        self.cells = {key(k): tuple(None if q is None else key(q)
-                                    for q in cell.edge_quadruples)
-                      for k, cell in window.cells.items()}
-        self.edges = {key(q): frozenset(map(key, rec["endpoints"]))
-                      for q, rec in window.edges.items()}
-        self.points = {P for keys in (self.cells, self.edges)
-                       for k in keys for P in k}
-        self.conics, self.forms = {}, {}
-        for k, U in window.vertices.items():
-            succ = {self.pos[a]: self.pos[b] for a, b in U.successor().items()}
-            self.conics[key(k)] = _ConicInts(
-                U.kind, succ, {b: a for a, b in succ.items()}, k, self.frac)
-            q = U.subconic.form
-            self.forms[key(k)] = _form_class(clear_denominators(
-                (q.a11, q.a22, L * L * q.a33, q.a12, L * q.a13, L * q.a23)))
-        self.by_form = {f: k for k, f in self.forms.items()}
-        edges = sorted(self.edges)
-        self.incident = {v: [q for q in edges if v in self.edges[q]]
-                         for v in self.conics}
-        self._pairs: dict = {}
-
-    def key(self, positions) -> tuple:
-        return tuple(self.pos[p] for p in positions)
-
-    def show(self, key) -> tuple:
-        return tuple(self.frac[P] for P in key)
-
-    def pairs(self, vkey, quad) -> frozenset:
-        """The unique partition of the 1-cell quad on the boundary of the
-        conic vkey into successor-adjacent pairs; computed once per view."""
-        if (vkey, quad) not in self._pairs:
-            succ = self.conics[vkey].succ
-            reps = _anchor_reps(succ, set(quad))
-            self._pairs[vkey, quad] = reps and frozenset(
-                (x, succ[x]) for x in reps[0])
-        pairs = self._pairs[vkey, quad]
-        if not pairs:
-            raise ValueError(f"{self.show(quad)} is not a 1-cell of "
-                             f"{self.conics[vkey].name}")
-        return pairs
-
-
+@dataclass
 class CellMatching:
     """Dictionaries from A-side keys to B-side keys (faces by triple,
-    edges by quadruple, vertices by rigid-conic boundary key).
-
-    A matching made by `matching_from_affine` is held on the int views of the
-    two windows, and each dictionary is built when it is first read.
-    """
-
-    def __init__(self, faces: dict, edges: dict, vertices: dict):
-        self._dicts = [faces, edges, vertices]
-        self._views = None       # (A view, B view, the three int maps)
-        self._beta = None        # (A view, B view, the last int bijection)
-
-    @classmethod
-    def _on_views(cls, va: _WindowInts, vb: _WindowInts,
-                  *maps: dict) -> "CellMatching":
-        phi = cls(None, None, None)
-        phi._views = (va, vb, maps)
-        return phi
-
-    def _read(self, i: int) -> dict:
-        if self._dicts[i] is None:
-            va, vb, maps = self._views
-            self._dicts[i] = {va.show(k): vb.show(k2)
-                              for k, k2 in maps[i].items()}
-        return self._dicts[i]
-
-    faces = property(lambda self: self._read(0))
-    edges = property(lambda self: self._read(1))
-    vertices = property(lambda self: self._read(2))
-
-    def on_views(self, va: _WindowInts, vb: _WindowInts) -> tuple:
-        """The face, edge and vertex maps on the int views va and vb. A map
-        whose dictionary has been read comes from the dictionary, which its
-        reader may have changed."""
-        held = self._views is not None and self._views[:2] == (va, vb)
-        return tuple(
-            self._views[2][i] if held and self._dicts[i] is None
-            else {va.key(k): vb.key(k2) for k, k2 in self._read(i).items()}
-            for i in range(3))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CellMatching) and all(
-            self._read(i) == other._read(i) for i in range(3))
-
-    def __repr__(self) -> str:
-        return (f"CellMatching(faces={self.faces!r}, edges={self.edges!r}, "
-                f"vertices={self.vertices!r})")
+    edges by quadruple, vertices by rigid-conic boundary key), all on the
+    lattices of the two windows."""
+    faces: dict
+    edges: dict
+    vertices: dict
 
 
 def matching_from_affine(A: CellComplexWindow, B: CellComplexWindow,
@@ -958,71 +862,76 @@ def matching_from_affine(A: CellComplexWindow, B: CellComplexWindow,
     """The matching induced by z -> g z + tau on the cells of A that land
     in B.
 
-    Faces and edges are matched by image position keys; those whose image
-    lies outside B's window are left unmatched. Vertices are matched by
-    their transformed forms (canonically rescaled), because the windowed
-    boundary of a truncated conic depends on the window shape and two charts
-    rarely clip it identically. Raises when no face or no edge matches.
+    Faces and edges are matched by image keys; those whose image lies
+    outside B's window are left unmatched. Vertices are matched by their
+    transformed forms, because the windowed boundary of a truncated conic
+    depends on the window shape and two charts rarely clip it identically.
+    Raises when no face or no edge matches.
 
-    Vetted on ints in each window's frame: between the views the map is
+    g and tau act on positions. Between the lattices the map is
     P -> (G P + t) / den with (G, t) / den = (L_B / L_A g, L_B tau), each
     distinct A point is mapped once, and a key with a non-integral image
     point matches nothing. Forms go through the lifted inverse
     (den adj G, -adj G t; 0, det G), a nonzero multiple of the inverse of
     (G, t; 0, den), which keeps the class.
     """
-    va, vb = A.ints, B.ints
+    la, lb = A.chart.surface.scale, B.chart.surface.scale
     vals = [*g[0], *g[1], *tau]
     D = common_denominator(vals)
     a, b, c, d, t0, t1 = (scaled_int(v, D) for v in vals)
-    # (g, tau) = (a, b; c, d | t0, t1) / D between the views, with both
-    # frames scaled to ints
-    a, b, c, d = (x * vb.L for x in (a, b, c, d))
-    t0, t1, den = t0 * va.L * vb.L, t1 * va.L * vb.L, D * va.L
+    a, b, c, d = (x * lb for x in (a, b, c, d))
+    t0, t1, den = t0 * la * lb, t1 * la * lb, D * la
     images = {}
-    for X, Y in va.points:
-        u, v = a * X + b * Y + t0, c * X + d * Y + t1
-        if u % den == 0 and v % den == 0:
-            images[X, Y] = (u // den, v // den)
+    for keys in (A.cells, A.edges):
+        for key in keys:
+            for X, Y in key:
+                if (X, Y) not in images:
+                    u, v = a * X + b * Y + t0, c * X + d * Y + t1
+                    images[X, Y] = (u // den, v // den) \
+                        if u % den == 0 and v % den == 0 else None
 
     def image_key(key):
-        pts = [images.get(P) for P in key]
+        pts = [images[P] for P in key]
         return None if None in pts else tuple(sorted(pts))
 
-    faces = {k: ik for k in va.cells if (ik := image_key(k)) in vb.cells}
-    edges = {k: ik for k in va.edges if (ik := image_key(k)) in vb.edges}
+    faces = {k: ik for k in A.cells if (ik := image_key(k)) in B.cells}
+    edges = {k: ik for k in A.edges if (ik := image_key(k)) in B.edges}
     if not faces or not edges:
         raise ValueError("affine map matches no cells between the windows")
     # a matched face is a noncollinear image triple, so det G != 0
     M = ((den * d, -den * b), (-den * c, den * a))
     shift = (b * t1 - d * t0, c * t0 - a * t1)
+    by_form = {U.form.coeffs(): k for k, U in B.vertices.items()}
     vertices = {}
-    for k, form in va.forms.items():
-        ik = vb.by_form.get(_form_class(congruent(form, M, shift,
-                                                  a * d - b * c)))
+    for k, U in A.vertices.items():
+        ik = by_form.get(_form_class(congruent(U.form.coeffs(), M, shift,
+                                               a * d - b * c)))
         if ik is not None:
             vertices[k] = ik
-    return CellMatching._on_views(va, vb, faces, edges, vertices)
+    return CellMatching(faces, edges, vertices)
 
 
-def _check_phi(va: _WindowInts, vb: _WindowInts, faces: dict, edges: dict,
-               vertices: dict) -> None:
-    """Incidence and orientation of a cell matching on the int views; raises
-    naming the first violated cell."""
+def _check_phi(A: CellComplexWindow, B: CellComplexWindow,
+               phi: CellMatching) -> None:
+    """Incidence and orientation of a cell matching; raises naming the first
+    violated cell."""
+    faces, edges, vertices = phi.faces, phi.edges, phi.vertices
     if len(set(faces.values())) != len(faces) \
             or len(set(edges.values())) != len(edges) \
             or len(set(vertices.values())) != len(vertices):
         raise ValueError("matching is not injective")
     for fkey, fkey2 in faces.items():
-        cyc = [edges.get(q) if q is not None else None for q in va.cells[fkey]]
-        target = list(vb.cells[fkey2])
+        cyc = [edges.get(q) if q is not None else None
+               for q in A.cells[fkey].edge_quadruples]
+        target = list(B.cells[fkey2].edge_quadruples)
+        name = _shown(fkey, A.chart.surface.scale)
         if len(cyc) != len(target):
-            raise ValueError(f"face {va.show(fkey)}: side counts differ under "
-                             "the matching")
+            raise ValueError(f"face {name}: side counts differ under the "
+                             "matching")
         known = [q for q in cyc if q is not None]
         if any(q not in target for q in known):
-            raise ValueError(f"face {va.show(fkey)}: matched edges are not "
-                             "incident to the matched face")
+            raise ValueError(f"face {name}: matched edges are not incident "
+                             "to the matched face")
         rotations = [target[i:] + target[:i] for i in range(len(target))]
         if not any(all(c is None or c == t[i] for i, c in enumerate(cyc))
                    for t in rotations):
@@ -1030,10 +939,26 @@ def _check_phi(va: _WindowInts, vb: _WindowInts, faces: dict, edges: dict,
             reflections = [rev[i:] + rev[:i] for i in range(len(rev))]
             if any(all(c is None or c == t[i] for i, c in enumerate(cyc))
                    for t in reflections):
-                raise ValueError(f"face {va.show(fkey)}: matching reverses "
-                                 "the boundary orientation")
-            raise ValueError(f"face {va.show(fkey)}: boundary cycles do not "
+                raise ValueError(f"face {name}: matching reverses the "
+                                 "boundary orientation")
+            raise ValueError(f"face {name}: boundary cycles do not "
                              "correspond")
+
+
+def _name(U: RigidConic) -> tuple:
+    """A rigid conic's key as positions, for messages."""
+    return _shown(U.key(), U.scale)
+
+
+def _pairs(U: RigidConic, quad) -> frozenset:
+    """The unique partition of the 1-cell quad on the boundary of U into
+    successor-adjacent pairs."""
+    succ = U.successor()
+    reps = _anchor_reps(succ, set(quad))
+    if not reps:
+        raise ValueError(f"{_shown(quad, U.scale)} is not a 1-cell of "
+                         f"{_name(U)}")
+    return frozenset((x, succ[x]) for x in reps[0])
 
 
 class _Ambiguous(ValueError):
@@ -1051,28 +976,31 @@ def frontier_bijection(A: CellComplexWindow, B: CellComplexWindow,
     matched edge on a symmetric strip does) are deferred until cone points
     shared with already-resolved conics pin them down.
 
-    Returns {position -> position} on all boundary points the matching
-    reaches, certified to satisfy beta(s(x)) = s'(beta(x)) and to agree
-    across conics sharing cone points. Runs on the int views of A and B,
-    and keeps the int bijection on phi.
+    Returns {A lattice point -> B lattice point} on all boundary points the
+    matching reaches, certified to satisfy beta(s(x)) = s'(beta(x)) and to
+    agree across conics sharing cone points.
     """
-    va, vb = A.ints, B.ints
-    faces, edges, vertices = phi.on_views(va, vb)
-    _check_phi(va, vb, faces, edges, vertices)
+    _check_phi(A, B, phi)
+    la = A.chart.surface.scale
+    incident: dict = {}          # conic key -> its 1-cells, in sorted order
+    for q in sorted(A.edges):
+        for v in A.edges[q]["endpoints"]:
+            incident.setdefault(v, []).append(q)
     jobs = {}
-    for vkey, vkey2 in sorted(vertices.items()):
-        U, U2 = va.conics[vkey], vb.conics[vkey2]
+    for vkey, vkey2 in sorted(phi.vertices.items()):
+        U, U2 = A.vertices[vkey], B.vertices[vkey2]
         if U.kind is not U2.kind:
-            raise ValueError(f"vertex {U.name}: kinds differ under the matching")
+            raise ValueError(f"vertex {_name(U)}: kinds differ under the "
+                             "matching")
         constraints = []
-        for q in va.incident[vkey]:
-            q2 = edges.get(q)
+        for q in incident.get(vkey, ()):
+            q2 = phi.edges.get(q)
             if q2 is None:
                 continue
-            if vkey2 not in vb.edges[q2]:
-                raise ValueError(f"edge {va.show(q)}: image not incident to "
-                                 "image vertex")
-            constraints.append((va.pairs(vkey, q), vb.pairs(vkey2, q2)))
+            if vkey2 not in B.edges[q2]["endpoints"]:
+                raise ValueError(f"edge {_shown(q, la)}: image not incident "
+                                 "to image vertex")
+            constraints.append((_pairs(U, q), _pairs(U2, q2)))
         if constraints:
             jobs[vkey] = (U, U2, constraints)
 
@@ -1082,7 +1010,7 @@ def frontier_bijection(A: CellComplexWindow, B: CellComplexWindow,
         for x, x2 in local.items():
             if beta.setdefault(x, x2) != x2:
                 raise ValueError(f"matching is inconsistent at cone point "
-                                 f"{va.frac[x]}")
+                                 f"{to_position(x, la)}")
 
     pending = sorted(jobs)
     final = False
@@ -1107,21 +1035,20 @@ def frontier_bijection(A: CellComplexWindow, B: CellComplexWindow,
             break
         if not progressed:
             if final:
-                raise ValueError(f"orientation on {va.show(deferred[0])} "
+                raise ValueError(f"orientation on {_shown(deferred[0], la)} "
                                  "cannot be certified")
             final = True
         pending = deferred
 
-    for q, q2 in edges.items():
+    for q, q2 in phi.edges.items():
         if all(p in beta for p in q):
-            if tuple(sorted(beta[p] for p in q)) != q2:
-                raise ValueError(f"edge {va.show(q)}: bijection disagrees "
+            if _key(beta[p] for p in q) != q2:
+                raise ValueError(f"edge {_shown(q, la)}: bijection disagrees "
                                  "with the matched quadruple")
-    phi._beta = (va, vb, beta)
-    return {va.frac[x]: vb.frac[x2] for x, x2 in beta.items()}
+    return beta
 
 
-def _resolve_pairs(constraints, U: _ConicInts, U2: _ConicInts,
+def _resolve_pairs(constraints, U: RigidConic, U2: RigidConic,
                    hints: dict, final: bool) -> dict:
     """Assign each successor pair of U appearing in the constraints to a
     pair of U2. Shared pairs between 1-cells pin the correspondence; cone
@@ -1191,21 +1118,23 @@ def _resolve_pairs(constraints, U: _ConicInts, U2: _ConicInts,
             pairmap = trial
             break
         else:
-            raise ValueError(f"1-cell orientation on {U.name} cannot be "
+            raise ValueError(f"1-cell orientation on {_name(U)} cannot be "
                              "certified either way")
     return pairmap
 
 
-def _extend_by_conjugation(U: _ConicInts, U2: _ConicInts, local: dict) -> None:
+def _extend_by_conjugation(U: RigidConic, U2: RigidConic,
+                           local: dict) -> None:
     """Grow beta along successor orbits (both directions) and certify
     beta(s(x)) = s'(beta(x)) wherever both sides are defined. Mutates and
     validates `local`."""
-    succ, succ2 = U.succ, U2.succ
+    succ, succ2 = U.successor(), U2.successor()
     frontier = list(local)
     while frontier:
         x = frontier.pop()
         x2 = local[x]
-        for step, step2 in ((succ, succ2), (U.pred, U2.pred)):
+        for step, step2 in ((succ, succ2),
+                            (U.predecessor(), U2.predecessor())):
             nxt = step.get(x)
             if nxt is None:
                 continue
@@ -1213,29 +1142,31 @@ def _extend_by_conjugation(U: _ConicInts, U2: _ConicInts, local: dict) -> None:
             if nxt in local:
                 if local[nxt] != (nxt2 if nxt2 is not None else local[nxt]):
                     raise ValueError(f"successor conjugation fails at "
-                                     f"{U.frac[x]} on {U.name}")
+                                     f"{to_position(x, U.scale)} on "
+                                     f"{_name(U)}")
                 continue
             if nxt2 is None:
                 continue
             local[nxt] = nxt2
             frontier.append(nxt)
     if len(set(local.values())) != len(local):
-        raise ValueError(f"bijection collapses points on {U.name}")
+        raise ValueError(f"bijection collapses points on {_name(U)}")
     for x, x2 in local.items():
         sx = succ.get(x)
         if sx is not None and sx in local and succ2.get(x2) != local[sx]:
-            raise ValueError(f"successor conjugation fails at {U.frac[x]} "
-                             f"on {U.name}")
+            raise ValueError(f"successor conjugation fails at "
+                             f"{to_position(x, U.scale)} on {_name(U)}")
 
 
 # ---------------------------------------------------------------------------
 # serialization
 
-def _pos_json(p) -> list:
-    return [fraction_str(p[0]), fraction_str(p[1])]
+def _pos_json(p, scale: int) -> list:
+    return [fraction_str(c) for c in to_position(p, scale)]
 
 
 def complex_to_json(window: CellComplexWindow) -> str:
+    L = window.chart.surface.scale
     verts = []
     vertex_ids = {}
     for i, key in enumerate(sorted(window.vertices)):
@@ -1248,9 +1179,9 @@ def complex_to_json(window: CellComplexWindow) -> str:
             "truncated": U.truncated,
         }
         if U.kind is SubconicKind.ELLIPSE_INTERIOR:
-            entry["boundary"] = [_pos_json(p) for p in U.boundary]
+            entry["boundary"] = [_pos_json(p, L) for p in U.boundary]
         else:
-            entry["boundary"] = [[_pos_json(p) for p in line]
+            entry["boundary"] = [[_pos_json(p, L) for p in line]
                                  for line in U.boundary]
         entry["h_point"] = str(h_point(U.subconic))
         verts.append(entry)
@@ -1258,27 +1189,27 @@ def complex_to_json(window: CellComplexWindow) -> str:
     for key in sorted(window.edges):
         rec = window.edges[key]
         edges.append({
-            "quadruple": [_pos_json(p) for p in key],
-            "cells": [_face_id(k) for k in rec["cells"]],
+            "quadruple": [_pos_json(p, L) for p in key],
+            "cells": [_face_id(k, L) for k in rec["cells"]],
             "endpoints": sorted(vertex_ids.get(v, "?") for v in rec["endpoints"]),
         })
     faces = []
     for key in sorted(window.cells):
         cell = window.cells[key]
         faces.append({
-            "id": _face_id(key),
-            "triple": [_pos_json(p) for p in cell.triple],
+            "id": _face_id(key, L),
+            "triple": [_pos_json(p, L) for p in cell.triple],
             "polygon_t": [[fraction_str(t) for t in v] for v in cell.polygon],
-            "edges": [None if q is None else [_pos_json(p) for p in q]
+            "edges": [None if q is None else [_pos_json(p, L) for p in q]
                       for q in cell.edge_quadruples],
             "complete": cell.complete,
             "flags": list(cell.flags),
         })
     doc = {
         "window": {
-            "base": _pos_json(window.chart.base),
+            "base": [fraction_str(c) for c in window.chart.base],
             "radius": fraction_str(window.chart.radius),
-            "seed": [_pos_json(p) for p in window.seed],
+            "seed": [_pos_json(p, L) for p in window.seed],
             "budget": window.budget,
             "exhausted": window.exhausted,
         },
@@ -1289,5 +1220,6 @@ def complex_to_json(window: CellComplexWindow) -> str:
     return json.dumps(doc, indent=1, sort_keys=True)
 
 
-def _face_id(key) -> str:
-    return ";".join(f"{fraction_str(x)},{fraction_str(y)}" for x, y in key)
+def _face_id(key, scale: int) -> str:
+    return ";".join(f"{fraction_str(x)},{fraction_str(y)}"
+                    for x, y in _shown(key, scale))

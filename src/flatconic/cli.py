@@ -21,7 +21,7 @@ from .cellcomplex import (NotRealizable, WindowTooSmall, build_complex,
                           complex_to_json)
 from .linalg import fraction_str
 from .render import render_svg
-from .surface import SurfaceError, develop, parse_surface
+from .surface import SurfaceError, develop, parse_surface, to_lattice
 from .veech import discover_affine, tessellate, veech_check
 
 
@@ -125,10 +125,22 @@ def cmd_develop(args) -> int:
     return 0
 
 
+def _lattice_seed(surface, seed):
+    """The --seed points as lattice points of the surface; a point off the
+    lattice is no cone point."""
+    if seed is None:
+        return None
+    try:
+        return tuple(to_lattice(p, surface.scale) for p in seed)
+    except ValueError as e:
+        raise NotRealizable(f"seed point {e}") from None
+
+
 def cmd_complex(args) -> int:
     surface = _load_surface(args.surface)
     chart = develop(surface, base=args.base, radius=args.radius)
-    window = build_complex(chart, args.seed, budget=args.budget)
+    window = build_complex(chart, _lattice_seed(surface, args.seed),
+                           budget=args.budget)
     _emit(args, complex_to_json(window) + "\n")
     return 0
 
@@ -174,7 +186,8 @@ def cmd_rebuild(args) -> int:
 def cmd_tessellate(args) -> int:
     surface = _load_surface(args.surface)
     chart = develop(surface, base=args.base, radius=args.radius)
-    window = build_complex(chart, args.seed, budget=args.budget)
+    window = build_complex(chart, _lattice_seed(surface, args.seed),
+                           budget=args.budget)
     tess = tessellate(window)
     if args.svg:
         svg = render_svg(tess, model=args.model, horizon=args.horizon)

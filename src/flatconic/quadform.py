@@ -7,9 +7,9 @@ A form is stored by the six entries of its symmetric Gram matrix
          [a13, a23, a33]],        q(v) = v A v^T,
 
 so the xy / xz / yz *polynomial* coefficients are twice the stored entries.
-Every operation is exact over the rationals: signatures, radicals,
-scalings and affine images are computed on ints and Fractions, and a float
-input is taken at its exact binary value. The natural basis of a pencil
+Every operation is exact over the rationals: signatures, scalings and
+affine images are computed on ints and Fractions, and a float input is
+taken at its exact binary value. The natural basis of a pencil
 through a triple lives on the lattice, in `cellcomplex._lattice_basis`.
 
 `congruent` is the one form congruence: K^T A K for an affine K = (M, s;
@@ -70,9 +70,6 @@ class QForm3:
     def scaled(self, c: Scalar) -> "QForm3":
         return QForm3(*(c * v for v in self.coeffs()))
 
-    def is_zero(self) -> bool:
-        return not any(self.coeffs())
-
 
 def signature(q: QForm3) -> tuple[int, int, int]:
     """(n+, n-, n0) of q on 3-space."""
@@ -82,13 +79,6 @@ def signature(q: QForm3) -> tuple[int, int, int]:
 def signature_restriction(q: QForm3) -> tuple[int, int, int]:
     """(n+, n-, n0) of q̲ on the direction plane."""
     return symmetric_signature(q.gram_restriction())
-
-
-def radical(q: QForm3) -> list[Vec3]:
-    """Basis of rad(q) = {v : q(v, w) = 0 for all w}; dimension equals n0."""
-    if q.is_zero():
-        return [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    return nullspace(q.gram(), 3)
 
 
 def _evaluation_row(v: Vec3) -> tuple[Scalar, ...]:

@@ -12,10 +12,13 @@ by exact orientation tests, and the immersion certificate `subconic_fits`
 decides its window bound by squaring out the square roots and scans the
 visible points on ints. A cone point or placement translation is a vertex
 plus a sum of edge vectors, so it lies on the surface's lattice
-Z^2 / `SurfaceDesc.scale` (`Chart.lattice`). The unfolding (`develop`,
-`locate`, and so `rebase`) runs on that lattice refined by the base point
-(or the located position) and translated to it: its search, window,
-visibility and point-in-polygon tests are exact int arithmetic.
+Z^2 / `SurfaceDesc.scale` (`Chart.lattice`). The cell complex keys every
+cone point by its int lattice point, and `to_lattice` and `to_position`
+are the one conversion between a position and its lattice point. The
+unfolding (`develop`, `locate`, and so `rebase`) runs on that lattice
+refined by the base point (or the located position) and translated to it:
+its search, window, visibility and point-in-polygon tests are exact int
+arithmetic.
 
 A chart keeps that int frame (`_Frame`: the scale L, the base times L, and
 the int points, occluded points and placements). Its `points`, `occluded`
@@ -452,6 +455,22 @@ class Chart:
         ox, oy = frame.origin
         return tuple(((x + ox) // m, (y + oy) // m)
                      for x, y, _, _ in frame.points + frame.occluded)
+
+
+def to_lattice(position: Point, scale: int) -> tuple[int, int]:
+    """The lattice point of a position on Z^2 / scale: the position times
+    scale, as ints. Raises ValueError for a position off that lattice."""
+    x, y = (Fraction(c) * scale for c in position)
+    if x.denominator != 1 or y.denominator != 1:
+        raise ValueError(f"{fraction_str(position[0])},"
+                         f"{fraction_str(position[1])} is not on the "
+                         f"lattice Z^2/{scale}")
+    return (x.numerator, y.numerator)
+
+
+def to_position(point: tuple[int, int], scale: int) -> Point:
+    """The position of a lattice point on Z^2 / scale, as Fractions."""
+    return (Fraction(point[0], scale), Fraction(point[1], scale))
 
 
 def default_base(surface: SurfaceDesc) -> tuple:

@@ -3,11 +3,12 @@ membership, and the hyperbolic tessellation of a cell complex.
 
 Everything that decides a verdict is exact. An affine map keeps its rational
 matrix, and its homothety sqrt(det g) is taken as a rational only when det g
-is a rational square. `discover_affine` proposes candidate maps on positions,
-and each candidate is vetted on ints in each window's frame (the int views of
-`cellcomplex`); only the certified maps and their matchings come back as
-positions. `veech_check` needs no window: g is in the Veech group iff the
-Delaunay decompositions of g S and S are isomorphic by a translation
+is a rational square. The windows of `cellcomplex` key every cone point by
+its int lattice point, so `discover_affine` proposes each candidate as a map
+between the two lattices, solved on ints (`psi_of_quadruple`), and vets it
+on the lattice keys; the g and translation it returns act on positions.
+`veech_check` needs no window: g is in the Veech group iff the Delaunay
+decompositions of g S and S are isomorphic by a translation
 (`flatconic.delaunay`), which is decided on the whole surface.
 """
 
@@ -19,11 +20,10 @@ from fractions import Fraction
 from typing import Optional
 
 from .cellcomplex import (CellComplexWindow, CellMatching, _face_id,
-                          frontier_bijection, matching_from_affine)
+                          _shown, frontier_bijection, matching_from_affine)
 from .delaunay import NotIsomorphic, delaunay, isomorphism
 from .geom import h_point
-from .linalg import (apply_affine, common_denominator, convex_hull_ccw,
-                     scaled_int)
+from .linalg import apply_affine, convex_hull_ccw
 from .surface import SurfaceDesc, SurfaceError
 
 
@@ -65,19 +65,17 @@ def psi_of_quadruple(Z, Zp) -> AffineCandidate:
     """The unique affine map sending the first three points of Z to those of
     Zp, checked for orientation and for consistency on the fourth point.
 
-    Exact: the eight points are scaled to ints by their least common
-    denominator L, so g = N adj(M) / det M for the int difference matrices M
-    and N, and only g and the translation become Fractions.
+    Exact on ints and Fractions alike: g = N adj(M) / det M for the
+    difference matrices M and N. On lattice points, as `discover_affine`
+    passes them, everything is int until g and the translation become
+    Fractions.
     """
     Z = [tuple(p) for p in Z]
     Zp = [tuple(p) for p in Zp]
     if len(Z) != 4 or len(Zp) != 4:
         raise ValueError("need two quadruples")
-    L = common_denominator(c for p in Z + Zp for c in p)
-    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = (
-        (scaled_int(x, L), scaled_int(y, L)) for x, y in Z)
-    (u0, v0), (u1, v1), (u2, v2), (u3, v3) = (
-        (scaled_int(x, L), scaled_int(y, L)) for x, y in Zp)
+    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = Z
+    (u0, v0), (u1, v1), (u2, v2), (u3, v3) = Zp
     m00, m01 = x1 - x0, x2 - x0
     m10, m11 = y1 - y0, y2 - y0
     det = m00 * m11 - m01 * m10
@@ -90,49 +88,69 @@ def psi_of_quadruple(Z, Zp) -> AffineCandidate:
          (n10 * m11 - n11 * m10, -n10 * m01 + n11 * m00))
     if G[0][0] * G[1][1] - G[0][1] * G[1][0] <= 0:   # det^2 det g
         raise ValueError("map is orientation-reversing or degenerate")
-    # the translation is (det u0 - G x0) / (det L); the fourth point maps
-    # to (G (x3 - x0) + det u0) / (det L)
+    # the translation is (det u0 - G x0) / det; the fourth point maps to
+    # (G (x3 - x0) + det u0) / det
     image = (G[0][0] * (x3 - x0) + G[0][1] * (y3 - y0),
              G[1][0] * (x3 - x0) + G[1][1] * (y3 - y0))
     if image != (det * (u3 - u0), det * (v3 - v0)):
-        image = (Fraction(image[0] + det * u0, det * L),
-                 Fraction(image[1] + det * v0, det * L))
+        image = (Fraction(image[0] + det * u0, det),
+                 Fraction(image[1] + det * v0, det))
         raise ValueError(
             f"fourth point is inconsistent: {Z[3]} maps to {image}, "
             f"expected {Zp[3]}")
     g = tuple(tuple(Fraction(x, det) for x in row) for row in G)
-    tau = (Fraction(det * u0 - G[0][0] * x0 - G[0][1] * y0, det * L),
-           Fraction(det * v0 - G[1][0] * x0 - G[1][1] * y0, det * L))
+    tau = (Fraction(det * u0 - G[0][0] * x0 - G[0][1] * y0, det),
+           Fraction(det * v0 - G[1][0] * x0 - G[1][1] * y0, det))
     return AffineCandidate(g, tau)
+
+
+def _position_map(c: AffineCandidate, A: CellComplexWindow,
+                  B: CellComplexWindow) -> AffineCandidate:
+    """The map of positions of the map c from A's lattice to B's: with
+    P = L_A p and Q = L_B q, Q = G P + t is q = (L_A / L_B) G p + t / L_B."""
+    la, lb = A.chart.surface.scale, B.chart.surface.scale
+    return AffineCandidate(
+        tuple(tuple(Fraction(x.numerator * la, x.denominator * lb)
+                    for x in row) for row in c.g),
+        tuple(Fraction(t.numerator, t.denominator * lb)
+              for t in c.translation))
 
 
 def reconstruct(A: CellComplexWindow, B: CellComplexWindow,
                 phi: CellMatching) -> AffineCandidate:
     """Recover the common affine map underlying a cell matching: the frontier
     bijection gives matched cone points, every matched 1-cell determines the
-    map on its quadruple, and all of them must agree. The 1-cells and the
-    bijection are read on the int views of A and B."""
-    frontier_bijection(A, B, phi)       # keeps its int bijection on phi
-    va, vb, beta = phi._beta
+    map on its quadruple, and all of them must agree. The map is solved
+    between the lattices of A and B and returned on positions."""
+    beta = frontier_bijection(A, B, phi)
+    la, lb = A.chart.surface.scale, B.chart.surface.scale
     candidate = None
     witness = None
-    for q in sorted(phi.on_views(va, vb)[1]):
+    for q in sorted(phi.edges):
         if not all(p in beta for p in q):
             continue
-        Z = va.show(q)
+        image = [beta[p] for p in q]
         try:
-            c = psi_of_quadruple(list(Z), [vb.frac[beta[p]] for p in q])
-        except ValueError as e:
-            raise ValueError(f"1-cell {Z} admits no affine map: {e}") from None
+            c = psi_of_quadruple(q, image)
+        except ValueError:
+            # it fails alike on positions, which the message names
+            Z = _shown(q, la)
+            try:
+                psi_of_quadruple(Z, _shown(image, lb))
+            except ValueError as e:
+                raise ValueError(f"1-cell {Z} admits no affine map: "
+                                 f"{e}") from None
+            raise
         if candidate is None:
-            candidate, witness = c, Z
+            candidate, witness = c, q
         elif c != candidate:
             raise ValueError(
-                f"1-cells {witness} and {Z} determine different affine maps "
-                f"({candidate.g} vs {c.g})")
+                f"1-cells {_shown(witness, la)} and {_shown(q, la)} determine "
+                f"different affine maps ({_position_map(candidate, A, B).g} "
+                f"vs {_position_map(c, A, B).g})")
     if candidate is None:
         raise ValueError("no matched 1-cell has a fully matched quadruple")
-    return candidate
+    return _position_map(candidate, A, B)
 
 
 def discover_affine(A: CellComplexWindow, B: CellComplexWindow):
@@ -142,25 +160,21 @@ def discover_affine(A: CellComplexWindow, B: CellComplexWindow):
     two parallel lines), and an orientation-preserving affine map keeps its
     counterclockwise order. So each A 1-cell is sent onto the 4 cyclic
     rotations of each B 1-cell only, in the order a search over all 24
-    orderings would meet them. Each candidate map is vetted on ints in each
-    window's frame, by matching the whole windows and reconstructing. Among
-    the certified maps the one with the smallest translation (then smallest
-    entries) is returned, together with its matching. Raises when nothing
-    certifies.
+    orderings would meet them. Each candidate is solved on the lattice keys
+    of the two windows and vetted by matching the whole windows and
+    reconstructing. Among the certified maps the one with the smallest
+    translation (then smallest entries) is returned, together with its
+    matching. Raises when nothing certifies.
     """
-    vb = B.ints
-    # each counterclockwise B 1-cell on ints, to sort the images by (a
-    # positive scaling keeps their lexicographic order), and as positions
-    b_edges = [(ccw, vb.show(ccw))
-               for ccw in map(convex_hull_ccw, sorted(vb.edges))]
+    b_edges = [convex_hull_ccw(qb) for qb in sorted(B.edges)]
     tried = set()
     certified = []
     for qa in sorted(A.edges):
         ccw = convex_hull_ccw(qa)
         at = [ccw.index(p) for p in qa]
-        for ccw_ib, ccw_b in b_edges:
+        for ccw_b in b_edges:
             n = len(ccw_b)
-            shifts = sorted(range(n), key=lambda k: [ccw_ib[(i + k) % n]
+            shifts = sorted(range(n), key=lambda k: [ccw_b[(i + k) % n]
                                                      for i in at])
             for k in shifts:
                 perm = [ccw_b[(i + k) % n] for i in at]
@@ -168,9 +182,13 @@ def discover_affine(A: CellComplexWindow, B: CellComplexWindow):
                     cand = psi_of_quadruple(list(qa), perm)
                 except ValueError:
                     continue
-                if cand in tried:
+                # keyed by int pairs: hashing a Fraction is dear
+                key = tuple((x.numerator, x.denominator) for x in (
+                    *cand.g[0], *cand.g[1], *cand.translation))
+                if key in tried:
                     continue
-                tried.add(cand)
+                tried.add(key)
+                cand = _position_map(cand, A, B)
                 try:
                     phi = matching_from_affine(A, B, cand.g, cand.translation)
                     rec = reconstruct(A, B, phi)
@@ -195,7 +213,9 @@ def discover_affine(A: CellComplexWindow, B: CellComplexWindow):
             image = tuple(rec.apply(v) for v in verts)
             if image != targets[pid]:
                 ordered = False
-                if frozenset(image) != frozenset(targets[pid]):
+                # the vertices of a polygon are distinct
+                if len(image) != len(targets[pid]) or any(
+                        v not in targets[pid] for v in image):
                     return 2
         return 0 if ordered else 1
 
@@ -274,8 +294,8 @@ def veech_check(surface: SurfaceDesc, g, radius=6) -> VeechVerdict:
 
 @dataclass
 class TessFace:
-    id: str
-    triple: tuple
+    id: str                # the cell's triple as positions
+    triple: tuple          # lattice points
     vertices: tuple        # HPoint or None per polygon corner
     truncated: bool
 
@@ -291,6 +311,7 @@ class Tessellation:
 
 
 def tessellate(window: CellComplexWindow) -> Tessellation:
+    L = window.chart.surface.scale
     vertex_points = {}
     for key, U in sorted(window.vertices.items()):
         vertex_points[key] = h_point(U.subconic)
@@ -305,7 +326,7 @@ def tessellate(window: CellComplexWindow) -> Tessellation:
                 continue
             hps.append(vertex_points[U.key()])
             truncated = truncated or U.truncated
-        faces.append(TessFace(_face_id(fkey), cell.triple, tuple(hps),
+        faces.append(TessFace(_face_id(fkey, L), cell.triple, tuple(hps),
                               truncated))
     edges = []
     for ekey in sorted(window.edges):

@@ -12,6 +12,11 @@ images and strip directions from their own `reference_transform_by_affine`
 (the 3x3 congruence summed entry by entry) and `reference_strip_direction` (a
 nullspace), not from the package.
 
+The complex keys every cone point by its int lattice point (a position
+times the surface's scale); the references stay on Fraction positions. They
+read and are compared with the package's lattice objects through one
+conversion, `positions`.
+
 Veech-group membership has its ground truth at the end, from lattice
 arithmetic and the SL(2,Z) action on origamis, never from flatconic. Pencil
 and signature helpers that no pipeline code needs live here too, with their
@@ -20,12 +25,59 @@ tests, and so does the Fraction route to pencil members and realizability
 the lattice forms of `two_cell` replaced.
 """
 
+import dataclasses
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
+
+
+def positions(obj, scale):
+    """obj with every lattice point in it (a pair of ints) as its Fraction
+    position, the point divided by `scale`: through containers, dict keys
+    and dataclass fields. A `RigidConic` becomes the rigid conic on
+    positions: scale 1, holding its position form. A chart is kept as is.
+    For a map between two windows, convert its keys and values apart."""
+    from flatconic.cellcomplex import RigidConic
+    if type(obj) is tuple and len(obj) == 2 and all(type(c) is int
+                                                    for c in obj):
+        return (Fraction(obj[0], scale), Fraction(obj[1], scale))
+    if isinstance(obj, RigidConic):
+        return RigidConic(obj.subconic.form, obj.kind,
+                          positions(obj.boundary, scale), obj.truncated, 1)
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return dataclasses.replace(obj, **{
+            f.name: positions(getattr(obj, f.name), scale)
+            for f in dataclasses.fields(obj)})
+    if isinstance(obj, dict):
+        return {positions(k, scale): positions(v, scale)
+                for k, v in obj.items()}
+    if isinstance(obj, (tuple, list, set, frozenset)):
+        return type(obj)(positions(v, scale) for v in obj)
+    return obj
+
+
+def _on_lattice(q, scale):
+    """The lattice form of a position form: an int form Q with
+    Q(X, Y, 1) = k q(X / scale, Y / scale, 1) for some k > 0."""
+    from flatconic.linalg import clear_denominators
+    from flatconic.quadform import QForm3, congruent
+    return QForm3(*clear_denominators(
+        congruent(q.coeffs(), ((1, 0), (0, 1)), (0, 0), scale)))
+
+
+def _strip_form(normal, lo, hi):
+    """(nx*x + ny*y - lo)(nx*x + ny*y - hi) for an int normal, in
+    `canonical_scale`: divided by its leading coefficient nx², or ny² when
+    nx = 0. The form has signature (1, 1, 1), so no sign flip applies."""
+    from flatconic.quadform import QForm3
+    nx, ny = normal
+    lead = nx * nx or ny * ny
+    return QForm3(Fraction(nx * nx, lead), Fraction(ny * ny, lead),
+                  lo * hi / lead, Fraction(nx * ny, lead),
+                  -(lo + hi) * nx / (2 * lead), -(lo + hi) * ny / (2 * lead))
 
 
 def conic_row(p):
@@ -409,7 +461,8 @@ def reference_strip_direction(q):
 
 def reference_strip_rigid(chart, q):
     """Windowed maximal strip through the zero set of q, on positions: the
-    Fraction code that `cellcomplex._strip_rigid` must match."""
+    Fraction code that `cellcomplex._strip_rigid` must match, on
+    `positions`."""
     from flatconic.cellcomplex import RigidConic
     from flatconic.linalg import dot2
     from flatconic.quadform import canonical_scale
@@ -433,17 +486,19 @@ def reference_strip_rigid(chart, q):
         if i == 1:
             pts.reverse()
         lines.append(tuple(pts))
-    return RigidConic(subconic(canonical_scale(q)),
-                      (lines[0], lines[1]), truncated=True)
+    strip = subconic(canonical_scale(q))
+    return RigidConic(strip.form, strip.kind, (lines[0], lines[1]), True, 1)
 
 
 def reference_rigid_conics(chart):
-    from flatconic.cellcomplex import _ellipse_rigid, _on_lattice, _strip_form
+    """The rigid conics on positions (see `positions`)."""
+    from flatconic.cellcomplex import _ellipse_rigid
     from flatconic.linalg import dot2
     from flatconic.subconic import SubconicKind, conic_through_five
     pts = [p.position for p in chart.points]
     blockers = [p.position for p in chart.window_points]
     n = len(pts)
+    scale = chart.surface.scale
     found = {}
 
     adj = [0] * n
@@ -462,9 +517,9 @@ def reference_rigid_conics(chart):
                 return
             if cand.kind is not SubconicKind.ELLIPSE_INTERIOR:
                 return
-            rigid = _ellipse_rigid(chart, _on_lattice(cand.form,
-                                                      chart.surface.scale))
+            rigid = _ellipse_rigid(chart, _on_lattice(cand.form, scale))
             if rigid is not None:
+                rigid = positions(rigid, scale)
                 found.setdefault(rigid.key(), rigid)
             return
         m = allowed >> start
@@ -657,10 +712,10 @@ def reference_subconic_fits(chart, q):
 
 
 # ---------------------------------------------------------------------------
-# reference affine vetting: the Fraction code that the int views of
+# reference affine vetting: the Fraction code that the lattice keys of
 # `cellcomplex.matching_from_affine` and `frontier_bijection`, and
 # `veech.psi_of_quadruple`, `reconstruct` and `discover_affine`, must match.
-# Windows and matchings are the package's own; every position stays a
+# Windows are the package's own, on `positions`; every position stays a
 # Fraction here.
 
 def _ref_pos_key(positions):
@@ -1338,8 +1393,8 @@ def _form_at(basis, t1, t2):
 
 
 def realizable_triple(chart, Z) -> bool:
-    """Feasibility route: is Z exactly the cone-point set of some subconic
-    with a 2-dimensional family certifying the 2-cell?"""
+    """Feasibility route: is the lattice triple Z exactly the cone-point set
+    of some subconic with a 2-dimensional family certifying the 2-cell?"""
     from flatconic import cellcomplex
     try:
         cellcomplex.two_cell(chart, Z)
@@ -1349,8 +1404,9 @@ def realizable_triple(chart, Z) -> bool:
 
 
 def realizable_quadruple(chart, Z4) -> bool:
-    """Feasibility route: the pencil through the 4 points cuts the feasible
-    region in a nondegenerate segment with an ellipse interior sample."""
+    """Feasibility route: the pencil through the 4 lattice points cuts the
+    feasible region in a nondegenerate segment with an ellipse interior
+    sample."""
     from flatconic import cellcomplex
     from flatconic.linalg import cross, sign_of
     from flatconic.subconic import SubconicKind, classify
@@ -1376,7 +1432,7 @@ def realizable_quadruple(chart, Z4) -> bool:
             return False
         (a, b) = ends[1]
         mid = ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
-        basis = natural_basis(region.triple)
+        basis = natural_basis(positions(region.triple, chart.surface.scale))
         kind = classify(_form_at(basis, mid[0], mid[1])).kind
         return kind is SubconicKind.ELLIPSE_INTERIOR
     return False

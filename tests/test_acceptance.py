@@ -180,7 +180,8 @@ def test_marked_torus_ellipse_links():
 
     rig = rigid_conics(chart)
     ells = [u for u in rig if u.kind is SubconicKind.ELLIPSE_INTERIOR]
-    pkg_keys = {frozenset(tuple(map(float, z)) for z in u.boundary)
+    pkg_keys = {frozenset(tuple(map(float, z))
+                          for z in oracles.positions(u.boundary, u.scale))
                 for u in ells}
     ora_keys = {frozenset(tuple(map(float, z)) for z in k) for k in found}
     assert pkg_keys == ora_keys

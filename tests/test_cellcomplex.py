@@ -16,16 +16,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import (from_poly, natural_basis, realizable_quadruple,
-                     realizable_triple)
+from oracles import (_on_lattice, _strip_form, from_poly, natural_basis,
+                     positions, realizable_quadruple, realizable_triple)
 
 from flatconic import cellcomplex
 from flatconic.cellcomplex import (
     CellMatching,
     NotRealizable,
     WindowTooSmall,
-    _on_lattice,
-    _strip_form,
     _strip_rigid,
     _window_zeros,
     build_complex,
@@ -39,12 +37,13 @@ from flatconic.cellcomplex import (
     rigid_conics,
     two_cell,
 )
-from flatconic.linalg import cross
+from flatconic.linalg import convex_hull_ccw, cross
 from flatconic.models import square_torus, two_marked_torus
 from flatconic.quadform import QForm3, canonical_scale, ellipse_center
 from flatconic.subconic import SubconicKind, classify, contains
 from flatconic.surface import (Chart, SurfaceError, develop, dist2,
-                               parse_surface, rebase, subconic_fits)
+                               parse_surface, rebase, subconic_fits,
+                               to_lattice, to_position)
 
 SEED = ((0, 0), (0, 1), (1, 0))
 
@@ -214,9 +213,11 @@ def test_first_marked_ellipse_frozen_values(marked_rigid):
          if u.kind is SubconicKind.ELLIPSE_INTERIOR][0]
     assert canonical_scale(u.subconic.form).coeffs() == (
         F(1), F(4, 3), F(2), F(2, 3), F(3, 2), F(4, 3))
-    assert u.boundary == ((F(-3, 2), F(-3, 4)), (F(-1), F(-1)),
-                          (F(-1, 2), F(-3, 4)), (F(-1), F(0)),
-                          (F(-3, 2), F(1, 4)))
+    # on the lattice Z^2 / 4
+    assert u.boundary == ((-6, -3), (-4, -4), (-2, -3), (-4, 0), (-6, 1))
+    assert positions(u.boundary, 4) == ((F(-3, 2), F(-3, 4)), (F(-1), F(-1)),
+                                        (F(-1, 2), F(-3, 4)), (F(-1), F(0)),
+                                        (F(-3, 2), F(1, 4)))
     assert not u.truncated
 
 
@@ -224,9 +225,9 @@ def test_ellipse_boundary_points_lie_on_the_conic(marked_rigid):
     for u in marked_rigid:
         if u.kind is not SubconicKind.ELLIPSE_INTERIOR:
             continue
-        q = u.subconic.form
         for z in u.boundary:
-            assert contains(q, z) == 0
+            assert contains(u.form, z) == 0
+            assert contains(u.subconic.form, to_position(z, u.scale)) == 0
 
 
 def untruncated(rig, n):
@@ -363,7 +364,7 @@ def rigid_cases(draw):
 def test_integer_frame_rigid_conics_match_the_fraction_reference(case):
     spec, base, radius = case
     chart = develop(rigid_surface(spec), base, radius)
-    got = rigid_conics(chart)
+    got = positions(rigid_conics(chart), chart.surface.scale)
     ref = oracles.reference_rigid_conics(chart)
     assert [(u.kind, u.subconic.form, u.boundary, u.truncated) for u in got] \
         == [(u.kind, u.subconic.form, u.boundary, u.truncated) for u in ref]
@@ -455,10 +456,29 @@ def _region_outcome(fn, *args):
         return (type(e).__name__, str(e))
 
 
+def _homogeneous(t1, t2):
+    W = math.lcm(F(t1).denominator, F(t2).denominator)
+    return int(t1 * W), int(t2 * W), W
+
+
+def _reference_region(chart, Z, equality=None):
+    """`reference_feasible_region` on the positions of lattice points, read
+    back as `two_cell` reads a region: its triple and sources on the
+    lattice, its vertices as homogeneous ints."""
+    L = chart.surface.scale
+    ref = oracles.reference_feasible_region(
+        chart, positions(list(Z), L),
+        None if equality is None else positions(tuple(equality), L))
+    return dataclasses.replace(
+        ref, vertices=[_homogeneous(t1, t2) for t1, t2 in ref.polygon],
+        triple=tuple(to_lattice(p, L) for p in ref.triple),
+        constraints=[(a, b, c, to_lattice(w, L))
+                     for a, b, c, w in ref.constraints])
+
+
 def _reference_two_cell(chart, Z):
     # `two_cell` building its cell on the reference region
-    with mock.patch.object(cellcomplex, "feasible_region",
-                           oracles.reference_feasible_region):
+    with mock.patch.object(cellcomplex, "feasible_region", _reference_region):
         return _region_outcome(two_cell, chart, Z)
 
 
@@ -479,19 +499,24 @@ def _positive_multiple(row, ref) -> bool:
 def test_int_two_cells_match_the_fraction_reference(case):
     spec, base, radius, Z = case
     chart = cached_chart(spec, base, radius)
+    L = chart.surface.scale
+    Z = tuple(to_lattice(p, L) for p in Z)
     got = _region_outcome(feasible_region, chart, Z)
-    ref = _region_outcome(oracles.reference_feasible_region, chart, Z)
+    ref = _region_outcome(oracles.reference_feasible_region, chart,
+                          positions(Z, L))
     if got[0] != "ok" or ref[0] != "ok":
         assert got == ref
     else:
         got, ref = got[1], ref[1]
-        assert (got.polygon, got.chart, got.triple) == \
+        assert (got.polygon, got.chart, positions(got.triple, L)) == \
             (ref.polygon, ref.chart, ref.triple)
         assert repr(got.polygon) == repr(ref.polygon)
         assert [(F(X, W), F(Y, W)) for X, Y, W in got.vertices] == got.polygon
         assert all(W > 0 and math.gcd(X, Y, W) == 1 for X, Y, W in got.vertices)
-        assert [c[3] for c in got.constraints] == [c[3] for c in ref.constraints]
-        assert all(type(x) is int for c in got.constraints for x in c[:3])
+        assert [positions(c[3], L) for c in got.constraints] == \
+            [c[3] for c in ref.constraints]
+        assert all(type(x) is int
+                   for c in got.constraints for x in (*c[:3], *c[3]))
         assert all(_positive_multiple(c[:3], r[:3])
                    for c, r in zip(got.constraints, ref.constraints))
     cell, ref_cell = _region_outcome(two_cell, chart, Z), _reference_two_cell(chart, Z)
@@ -512,8 +537,8 @@ def test_realizable_quadruples_match_the_fraction_reference(case):
     # through the fourth point
     spec, base, radius, Z4 = case
     chart = cached_chart(spec, base, radius)
-    with mock.patch.object(cellcomplex, "feasible_region",
-                           oracles.reference_feasible_region):
+    Z4 = [to_lattice(p, chart.surface.scale) for p in Z4]
+    with mock.patch.object(cellcomplex, "feasible_region", _reference_region):
         ref = _region_outcome(realizable_quadruple, chart, Z4)
     assert _region_outcome(realizable_quadruple, chart, Z4) == ref
 
@@ -593,15 +618,18 @@ def test_int_window_scans_match_the_fraction_reference(case):
 def cached_strip_vertices(case):
     """(triple, form) for every vertex of a budget-4 window's cells whose
     form classifies as a strip."""
+    chart = cached_chart(*case)
     try:
-        window = build_complex(cached_chart(*case), budget=4)
+        window = build_complex(chart, budget=4)
     except (NotRealizable, WindowTooSmall):
         return ()
-    return tuple((key, form) for key, cell in sorted(window.cells.items())
+    scale = chart.surface.scale
+    return tuple((positions(key, scale), form)
+                 for key, cell in sorted(window.cells.items())
                  for t1, t2, _ in cell.polygon
                  if classify(form := oracles._form_at(
-                     natural_basis(cell.triple), t1, t2)).kind
-                 is SubconicKind.STRIP)
+                     natural_basis(positions(cell.triple, scale)), t1,
+                     t2)).kind is SubconicKind.STRIP)
 
 
 @st.composite
@@ -647,7 +675,8 @@ def test_strips_match_the_fraction_reference(case):
     chart = cached_chart(*chart_case)
     if centre is not None:
         chart = rebase(chart, centre)
-    got = _strip_rigid(chart, _on_lattice(q, chart.surface.scale))
+    scale = chart.surface.scale
+    got = positions(_strip_rigid(chart, _on_lattice(q, scale)), scale)
     ref = oracles.reference_strip_rigid(chart, q)
     assert got == ref
     assert repr(got) == repr(ref)
@@ -662,11 +691,6 @@ VERTEX_FORM_CASES = [("stock", name) for name in sorted(STOCK)] + [
     ("marked", (F(1, 3), F(1, 5))), ("stretched_l",)]
 
 
-def _homogeneous(t1, t2):
-    W = math.lcm(F(t1).denominator, F(t2).denominator)
-    return int(t1 * W), int(t2 * W), W
-
-
 @pytest.mark.parametrize("spec", VERTEX_FORM_CASES, ids=str)
 @pytest.mark.parametrize("radius", [2, 3])
 def test_lattice_vertex_forms_match_the_fraction_pencil(spec, radius):
@@ -678,8 +702,8 @@ def test_lattice_vertex_forms_match_the_fraction_pencil(spec, radius):
     window = build_complex(chart, budget=6)
     checked = 0
     for cell in window.cells.values():
-        basis = cellcomplex._lattice_basis(cell.triple, scale)
-        fraction_basis = natural_basis(cell.triple)
+        basis = cellcomplex._lattice_basis(cell.triple)
+        fraction_basis = natural_basis(positions(cell.triple, scale))
         verts = [(t1, t2) for t1, t2, _ in cell.polygon]
         points = verts + [((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
                           for a, b in zip(verts, verts[1:] + verts[:1])]
@@ -688,9 +712,55 @@ def test_lattice_vertex_forms_match_the_fraction_pencil(spec, radius):
             assert all(type(c) is int for c in lattice.coeffs())
             ref = oracles._form_at(fraction_basis, t1, t2)
             assert classify(lattice) == classify(ref)
-            positions = cellcomplex._on_positions(lattice, scale)
-            assert canonical_scale(positions) == canonical_scale(ref)
-            assert repr(canonical_scale(positions)) == \
+            on_positions = cellcomplex._on_positions(lattice, scale)
+            assert canonical_scale(on_positions) == canonical_scale(ref)
+            assert repr(canonical_scale(on_positions)) == \
                 repr(canonical_scale(ref))
             checked += 1
     assert checked >= 3 * len(window.cells)
+
+
+# ---------------------------------------------------------------------------
+# lattice points end to end: every point inside a window is an int pair, and
+# its position is the one the Fraction references find
+
+COVERAGE_CASES = [("stock", name) for name in sorted(STOCK)] + [
+    ("marked", (F(1, 3), F(1, 5)))]
+
+
+def _is_point(p) -> bool:
+    return type(p) is tuple and len(p) == 2 and all(type(c) is int for c in p)
+
+
+@pytest.mark.parametrize("spec", COVERAGE_CASES, ids=str)
+@pytest.mark.parametrize("radius", [2, 3])
+def test_window_points_are_lattice_ints_at_the_reference_positions(spec,
+                                                                   radius):
+    chart = cached_chart(spec, None, F(radius))
+    L = chart.surface.scale
+    window = build_complex(chart, budget=6)
+    keys = [*window.cells, *window.edges, *window.vertices, window.seed]
+    assert all(_is_point(p) for key in keys for p in key)
+    for key, cell in window.cells.items():
+        assert key == cell.key() and all(_is_point(p) for p in cell.triple)
+        # the triple and the supporter of each side, where the reference
+        # region puts them
+        ref = oracles.reference_feasible_region(chart,
+                                                positions(cell.triple, L))
+        assert ref.triple == positions(cell.triple, L)
+        sources = {w for *_, w in ref.constraints}
+        for quad in cell.edge_quadruples:
+            if quad is not None:
+                assert all(_is_point(p) for p in quad)
+                (supporter,) = set(quad) - set(cell.triple)
+                assert positions(supporter, L) in sources
+    for key, U in window.vertices.items():
+        assert key == U.key()
+        assert all(_is_point(p) for p in U.boundary_points())
+        # the boundary is the zero set of the position form on the window
+        if U.kind is SubconicKind.STRIP:
+            assert oracles.reference_strip_rigid(chart, U.subconic.form) \
+                == positions(U, L)
+        else:
+            zeros = oracles.reference_window_zeros(chart, U.subconic.form)
+            assert tuple(convex_hull_ccw(zeros)) == positions(U.boundary, L)

@@ -109,6 +109,15 @@ def test_collinear_seed_is_infeasible(torus_file, capsys):
     assert "infeasible" in capsys.readouterr().err
 
 
+def test_seed_off_the_lattice_is_infeasible(torus_file, capsys):
+    # the seed is read on the surface's lattice Z^2/1: (1/2, 0) is no cone
+    # point
+    assert main(["complex", torus_file, "--seed", "1/2,0;1,0;0,1"]) == 3
+    assert capsys.readouterr().err == (
+        "infeasible (not realizable): seed point 1/2,0 is not on the "
+        "lattice Z^2/1\n")
+
+
 def test_veech_check_member(torus_file, capsys):
     assert main(["veech-check", torus_file, "--matrix", "1,1,0,1",
                  "--radius", "4"]) == 0
@@ -292,6 +301,15 @@ PINNED = {
         ["rebuild", "two_marked_torus", "two_marked_torus", "--radius", "3",
          "--budget", "6", "--target-budget", "8"],
         "8f17b569ad96a633ec279be9faf5bad955109c28745651c0cf8fada7181df85b"),
+    # frame denominator 4: lattice keys differ from the frame's ints, and
+    # cells carry flags
+    "complex-marked-R2-b6": (
+        ["complex", "two_marked_torus", "--radius", "2", "--budget", "6"],
+        "419efba99c0f1d9d2d0ea69daa7a0a9189dcfcc06980805eaf64a1da11802603"),
+    "complex-torus-R3-b6-seed": (
+        ["complex", "torus", "--radius", "3", "--budget", "6",
+         "--seed", "0,0;1,0;0,1"],
+        "5fa120911a56da2af110bddd5c877def82629da2d347978dc034bdfbfcc264d2"),
 }
 
 
@@ -304,3 +322,21 @@ def test_output_bytes_are_pinned(run, capsys):
                         for name in argv[1:n]] + argv[n:]
     assert main(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+# sha256 of the SVG file `tessellate --svg` writes on the two-marked torus,
+# whose face ids hold non-integral positions
+PINNED_SVG = {
+    "halfplane": "1c3b87996decb64cb9c55588634683b28dedd57c103e21920475271905ada7e5",
+    "disc": "1ae18500831c9e242da2d16930645aeb9eceb75b69b8f745264729cb79cce1bb",
+}
+
+
+@pytest.mark.parametrize("model", sorted(PINNED_SVG))
+def test_svg_bytes_are_pinned(model, tmp_path, capsys):
+    svg = tmp_path / "tess.svg"
+    assert main(["tessellate", str(STOCK / "two_marked_torus.tsurf"),
+                 "--radius", "3", "--budget", "6", "--model", model,
+                 "--svg", str(svg)]) == 0
+    assert capsys.readouterr().out == f"{svg}: 6 faces, 12 vertices ({model})\n"
+    assert hashlib.sha256(svg.read_bytes()).hexdigest() == PINNED_SVG[model]

@@ -14,7 +14,6 @@ from flatconic.quadform import (
     canonical_scale,
     forms_vanishing_on,
     lift,
-    radical,
     signature,
     signature_restriction,
     transform_by_affine,
@@ -48,15 +47,6 @@ def test_combine_is_linear():
 def test_signature_of_circle():
     assert signature(UNIT_CIRCLE) == (2, 1, 0)
     assert signature_restriction(UNIT_CIRCLE) == (2, 0, 0)
-
-
-def test_radical_of_double_line():
-    # (y)^2 = y*y as a form on 3-space: radical is the plane y = 0
-    q = from_poly(0, 0, 1, 0, 0, 0)
-    rad = radical(q)
-    assert len(rad) == 2
-    for v in rad:
-        assert all(q.pair(v, e) == 0 for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
 
 @pytest.mark.parametrize("k,pts", [

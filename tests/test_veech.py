@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import positions
 
 from flatconic import veech
 from flatconic.cellcomplex import (build_complex, frontier_bijection,
@@ -322,7 +323,7 @@ def test_h_point_is_exactly_equivariant(q, g):
 
 
 # ---------------------------------------------------------------------------
-# affine vetting on the int views against the Fraction reference in oracles.py
+# affine vetting on lattice keys against the Fraction reference in oracles.py
 
 WORDS = [((1, 0), (0, 1)), T, ((1, -1), (0, 1)), S]
 WORDS += [tuple(tuple(sum(a[i][k] * b[k][j] for k in range(2))
@@ -373,6 +374,18 @@ def _raised(outcome) -> bool:
     return isinstance(outcome, tuple) and outcome[0] == "raises"
 
 
+def _on_positions(A, B):
+    """The windows A and B on positions, for the references."""
+    return positions(A, A.chart.surface.scale), \
+        positions(B, B.chart.surface.scale)
+
+
+def _map_positions(d, A, B):
+    """A map from A's lattice keys to B's, on positions."""
+    la, lb = A.chart.surface.scale, B.chart.surface.scale
+    return {positions(k, la): positions(v, lb) for k, v in d.items()}
+
+
 @settings(max_examples=12, deadline=None)
 @given(window_pairs())
 @example(("marked-1/2-1/4", ((1, 0), (0, 1)), 2))
@@ -381,17 +394,20 @@ def _raised(outcome) -> bool:
 def test_discover_affine_matches_the_fraction_reference(case):
     A, B = _windows(case)
     got = _outcome(discover_affine, A, B)
-    ref = _outcome(oracles.reference_discover_affine, A, B)
-    assert got == ref
-    if not _raised(got):
+    ref = _outcome(oracles.reference_discover_affine, *_on_positions(A, B))
+    if _raised(got) or _raised(ref):
+        assert got == ref
+    else:
         (rec, phi), (ref_rec, ref_phi) = got, ref
         assert (rec.g, rec.translation) == (ref_rec.g, ref_rec.translation)
         assert all(type(x) is F for x in (*rec.g[0], *rec.g[1],
                                           *rec.translation))
-        assert (phi.faces, phi.edges, phi.vertices) == \
+        faces, edges, vertices = (_map_positions(m, A, B) for m in (
+            phi.faces, phi.edges, phi.vertices))
+        assert (faces, edges, vertices) == \
             (ref_phi.faces, ref_phi.edges, ref_phi.vertices)
-        assert list(phi.faces) == list(ref_phi.faces)
-        assert list(phi.edges) == list(ref_phi.edges)
+        assert list(faces) == list(ref_phi.faces)
+        assert list(edges) == list(ref_phi.edges)
 
 
 @st.composite
@@ -416,8 +432,9 @@ def affine_cases(draw):
     if shift == "zero":
         tau = (0, 0)
     elif shift == "positions":
-        pa = draw(st.sampled_from(sorted({p for k in A.cells for p in k})))
-        pb = draw(st.sampled_from(sorted({p for k in B.cells for p in k})))
+        PA, PB = _on_positions(A, B)
+        pa = draw(st.sampled_from(sorted({p for k in PA.cells for p in k})))
+        pb = draw(st.sampled_from(sorted({p for k in PB.cells for p in k})))
         gp = apply(g, (0, 0), pa)
         tau = (pb[0] - gp[0], pb[1] - gp[1])
     else:
@@ -441,30 +458,36 @@ def affine_cases(draw):
 def test_matching_and_reconstruct_match_the_fraction_reference(case):
     window_case, g, tau = case
     A, B = _windows(window_case)
+    PA, PB = _on_positions(A, B)
     phi = _outcome(matching_from_affine, A, B, g, tau)
-    ref = _outcome(oracles.reference_matching_from_affine, A, B, g, tau)
-    if _raised(ref):
+    ref = _outcome(oracles.reference_matching_from_affine, PA, PB, g, tau)
+    if _raised(phi) or _raised(ref):
         assert phi == ref
         return
-    assert (phi.faces, phi.edges, phi.vertices) == \
+    assert tuple(_map_positions(m, A, B)
+                 for m in (phi.faces, phi.edges, phi.vertices)) == \
         (ref.faces, ref.edges, ref.vertices)
-    assert _outcome(frontier_bijection, A, B, phi) == \
-        _outcome(oracles.reference_frontier_bijection, A, B, ref)
+    beta = _outcome(frontier_bijection, A, B, phi)
+    assert (beta if _raised(beta) else _map_positions(beta, A, B)) == \
+        _outcome(oracles.reference_frontier_bijection, PA, PB, ref)
     assert _outcome(reconstruct, A, B, phi) == \
-        _outcome(oracles.reference_reconstruct, A, B, ref)
+        _outcome(oracles.reference_reconstruct, PA, PB, ref)
 
 
 @pytest.mark.parametrize("source", sorted(SOURCES))
 def test_view_forms_are_primitive_with_a_positive_leading_entry(source):
+    # the lattice form each rigid conic keeps, by which vertices match
     window = _window(source, None, 1, 2, 3)
-    view = window.ints
-    assert view.L > 1
+    L = window.chart.surface.scale
+    assert L > 1
     for key, U in window.vertices.items():
-        form = view.forms[view.key(key)]
+        assert key == U.key()
+        form = U.form.coeffs()
+        assert all(type(c) is int for c in form)
         assert math.gcd(*form) == 1
         assert next(c for c in form if c) > 0
-        # the same class as the form read at (X, Y, L)
-        q, L = U.subconic.form, view.L
+        # the same class as the position form read at (X, Y, L)
+        q = U.subconic.form
         framed = QForm3(q.a11, q.a22, L * L * q.a33, q.a12, L * q.a13,
                         L * q.a23)
         assert canonical_scale(QForm3(*form)) == canonical_scale(framed)
@@ -476,7 +499,7 @@ def test_discover_affine_meets_candidates_in_sorted_order_off_the_lattice(
     source = two_marked_torus(marked=(F(1, 2), F(1, 4)))
     A = build_complex(develop(source, radius=2), budget=3)
     B = build_complex(develop(source.mapped(T), radius=2), budget=5)
-    assert A.ints.L == B.ints.L == 4
+    assert A.chart.surface.scale == B.chart.surface.scale == 4
     calls = []
 
     def record(Z, Zp):
